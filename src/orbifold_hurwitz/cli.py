@@ -9,7 +9,8 @@ Four subcommands:
 
 All numbers are printed as exact ``num/den`` strings; no output of this
 program ever contains a floating-point token.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure, 2 usage or input error, including a query over
+the recursion or oracle budget.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def _cmd_compute(args, parser) -> int:
     mu = _parse_mu(args.mu, parser)
     idx = HurwitzIndex(args.r, args.genus, mu)
     memo = MemoTable()
-    arrowed = arrowed_hurwitz(idx, memo)
+    try:
+        arrowed = arrowed_hurwitz(idx, memo)
+    except BudgetExceededError as exc:
+        parser.error(str(exc))
     hurwitz = orbifold_hurwitz(idx, memo)
     if args.json:
         payload = {
@@ -135,7 +139,10 @@ def _cmd_table(args, parser) -> int:
         parser.error("--genus-max must be at least --genus")
     if args.degree_max < 1:
         parser.error("--degree-max must be positive")
-    rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
+    try:
+        rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
+    except BudgetExceededError as exc:
+        parser.error(str(exc))
 
     def render(stream) -> None:
         if args.format == "csv":

@@ -8,8 +8,16 @@ over a second point, and simple branching elsewhere.  Writing
 
 the arrowed count satisfies a recursion in s (contract one of the s edges
 of the associated graph), with the single seed value 1 at (g, n, mu) =
-(0, 1, (r)).  Everything here is computed in exact rational arithmetic
-(``fractions.Fraction``); no floating point is used anywhere.
+(0, 1, (r)).  No floating point is used anywhere.
+
+The recursion runs on the integer E(r, g, mu) = s! * arrowed(r, g, mu),
+which counts arrowed graphs with labeled edges, so every step is plain
+``int`` arithmetic; ``fractions.Fraction`` appears only at the API
+boundary, where E is divided by s!.  Evaluation is demand-driven on an
+explicit stack of suspended per-state evaluations, so it visits only the
+descendants of the query and never hits Python's recursion limit.  Before
+evaluating, a query whose cost bound exceeds ``WORK_BUDGET`` is refused
+with :class:`BudgetExceededError`.
 
 Concurrency: all functions are pure.  ``MemoTable`` relies on CPython's
 atomic dict operations; concurrent writers always store identical values
@@ -24,12 +32,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
+
+from .oracle import BudgetExceededError
 
 __all__ = [
     "DivisibilityError",
     "HurwitzIndex",
     "MemoTable",
+    "WORK_BUDGET",
     "arrowed_hurwitz",
     "canonical_profile",
     "jpt_h01",
@@ -43,7 +54,13 @@ __all__ = [
 Profile = tuple[int, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# Largest cost bound (see ``_fits_budget``) a query may have; larger ones
+# are refused before any evaluation.  The slowest accepted queries, such
+# as r = 1, g = 0, mu = (1,) * 27, take about 8 s on one x86-64 core under
+# CPython 3.11; the largest bound in the r = 2, g <= 2, d <= 20 table is
+# 276,660.
+WORK_BUDGET = 500_000
 
 
 class DivisibilityError(ValueError):
@@ -81,11 +98,7 @@ class HurwitzIndex:
         if not isinstance(self.g, int) or self.g < 0:
             raise ValueError(f"g must be a non-negative integer, got {self.g!r}")
         parts = tuple(self.mu)
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"profile parts must be positive integers, got {p!r}")
-        if not parts:
-            raise ValueError("profile must have at least one part")
+        canonical_profile(parts)
         object.__setattr__(self, "mu", parts)
 
     @property
@@ -123,16 +136,19 @@ def simple_ramification_count(idx: HurwitzIndex) -> int:
 class MemoTable:
     """Cache of arrowed counts keyed by (r, g, mu sorted descending).
 
-    Canonicalizing mu is sound because the count is invariant under every
-    permutation of the profile (vertex labels are interchangeable).
-    Stored values never change once inserted; any two writers racing on a
-    key would store the same Fraction, so no locking is required.
+    Entries are the integers E = s! * arrowed for every evaluated state
+    with s >= 1, zeros included; ``lookup`` divides by s! and returns the
+    ``Fraction``.  Canonicalizing mu is sound because the count is
+    invariant under every permutation of the profile (vertex labels are
+    interchangeable).  Stored values never change once inserted; any two
+    writers racing on a key would store the same int, so no locking is
+    required.
     """
 
     __slots__ = ("_table",)
 
     def __init__(self) -> None:
-        self._table: dict[tuple[int, int, Profile], Fraction] = {}
+        self._table: dict[tuple[int, int, Profile], int] = {}
 
     def __len__(self) -> int:
         return len(self._table)
@@ -142,7 +158,11 @@ class MemoTable:
         return (r, g, canonical_profile(mu)) in self._table
 
     def lookup(self, r: int, g: int, mu: Iterable[int]) -> Fraction | None:
-        return self._table.get((r, g, canonical_profile(mu)))
+        mu = canonical_profile(mu)
+        value = self._table.get((r, g, mu))
+        if value is None:
+            return None
+        return Fraction(value, factorial(_edge_count(r, g, mu)))
 
 
 def _edge_count(r: int, g: int, mu: Profile) -> int | None:
@@ -184,89 +204,172 @@ def _submultiset_splits(
     return splits
 
 
-def _arrowed(r: int, g: int, mu: Profile, table: dict) -> Fraction:
-    """Arrowed count for canonical (descending) mu; recursion workhorse."""
-    d = sum(mu)
-    if d % r:
-        return _ZERO
-    if g < 0:
-        return _ZERO
-    n = len(mu)
-    s = 2 * g - 2 + d // r + n
-    if s < 0:
-        return _ZERO
+def _known(r: int, g: int, mu: Profile, table: dict) -> int | None:
+    """E(r, g, mu) for canonical mu when no evaluation is needed.
+
+    That is a memo hit, 0 outside the domain (r does not divide d, or
+    g < 0), or the seed at s = 0: one vertex, no edges, all r dots at that
+    vertex.  Returns None on a memo miss.
+    """
+    value = table.get((r, g, mu))
+    if value is not None:
+        return value
+    s = _edge_count(r, g, mu)
+    if s is None or g < 0:
+        return 0
     if s == 0:
-        # The recursion bottoms out at the single seed graph: one vertex,
-        # no edges, all r dots at that vertex.
-        return _ONE if (g == 0 and mu == (r,)) else _ZERO
+        return 1 if (g == 0 and mu == (r,)) else 0
+    return None
 
-    key = (r, g, mu)
-    cached = table.get(key)
-    if cached is not None:
-        return cached
 
-    acc = _ZERO
+def _contraction(
+    r: int, g: int, mu: Profile, table: dict
+) -> Generator[tuple[int, Profile], int, int]:
+    """Evaluate E(r, g, mu) = s! * arrowed(r, g, mu) for a memo miss.
 
-    # Contract an edge joining two distinct vertices: mu_i and mu_j merge.
-    for i in range(n - 1):
-        mi = mu[i]
-        for j in range(i + 1, n):
+    Contracting one of the s labeled edges gives E as plain integer sums
+    over states one edge down.  The generator yields the (g, mu) of each
+    child that is not yet known and expects its E sent back; it stores its
+    own result in ``table`` before returning it.
+    """
+    s = _edge_count(r, g, mu)
+    n = len(mu)
+    # Identical parts give identical contributions, so work on the runs of
+    # equal parts: (value, index of its first part, multiplicity).
+    runs: list[tuple[int, int, int]] = []
+    start = 0
+    while start < n:
+        end = start
+        while end < n and mu[end] == mu[start]:
+            end += 1
+        runs.append((mu[start], start, end - start))
+        start = end
+
+    # Contract an edge joining two distinct vertices: parts mu_i and mu_j
+    # merge, one term per pair of part values.
+    acc = 0
+    for x, (u, i, mult_u) in enumerate(runs):
+        for v, j, mult_v in runs[x:]:
+            if j == i:
+                pairs = mult_u * (mult_u - 1) // 2
+                j = i + 1
+            else:
+                pairs = mult_u * mult_v
+            if not pairs:
+                continue
             merged = tuple(
                 sorted(
-                    mu[:i] + (mi + mu[j],) + mu[i + 1 : j] + mu[j + 1 :],
+                    mu[:i] + (u + v,) + mu[i + 1 : j] + mu[j + 1 :],
                     reverse=True,
                 )
             )
             assert _edge_count(r, g, merged) == s - 1
-            child = _arrowed(r, g, merged, table)
-            if child:
-                acc += mi * mu[j] * child
+            child = _known(r, g, merged, table)
+            if child is None:
+                child = yield g, merged
+            acc += pairs * u * v * child
 
     # Contract a loop at one vertex: mu_i breaks into a + b, and the loop
     # either cuts a handle (genus drops) or separates the surface (the
-    # remaining parts distribute over the two sides).  Identical parts give
-    # identical contributions, so group by value.
-    loop_acc = _ZERO
-    start = 0
-    while start < n:
-        value = mu[start]
-        end = start
-        while end < n and mu[end] == value:
-            end += 1
-        mult = end - start
-        rest = mu[:start] + mu[end:] + (value,) * (mult - 1)
+    # remaining parts distribute over the two sides, and the s - 1 other
+    # edge labels with them).
+    loop_acc = 0
+    for value, start, mult in runs:
+        rest = mu[:start] + mu[start + mult :] + (value,) * (mult - 1)
         rest = tuple(sorted(rest, reverse=True))
-        inner = _ZERO
+        inner = 0
         if value >= 2:
             splits = _submultiset_splits(rest)
             for a in range(1, value):
                 b = value - a
                 handle = tuple(sorted(rest + (a, b), reverse=True))
                 assert _edge_count(r, g - 1, handle) in (None, s - 1)
-                child = _arrowed(r, g - 1, handle, table)
-                if child:
-                    inner += child
+                child = _known(r, g - 1, handle, table)
+                if child is None:
+                    child = yield g - 1, handle
+                inner += child
                 for left, right, ways in splits:
                     mu1 = tuple(sorted((a,) + left, reverse=True))
-                    mu2 = tuple(sorted((b,) + right, reverse=True))
                     s1 = _edge_count(r, 0, mu1)
-                    s2 = _edge_count(r, g, mu2)
-                    assert s1 is None or s2 is None or s1 + s2 == s - 1
+                    if s1 is None:
+                        # r divides neither side's degree: every term is 0.
+                        continue
+                    mu2 = tuple(sorted((b,) + right, reverse=True))
+                    assert s1 + _edge_count(r, g, mu2) == s - 1
                     for g1 in range(g + 1):
-                        lhs = _arrowed(r, g1, mu1, table)
+                        lhs = _known(r, g1, mu1, table)
+                        if lhs is None:
+                            lhs = yield g1, mu1
                         if not lhs:
                             continue
-                        rhs = _arrowed(r, g - g1, mu2, table)
+                        rhs = _known(r, g - g1, mu2, table)
+                        if rhs is None:
+                            rhs = yield g - g1, mu2
                         if rhs:
-                            inner += ways * lhs * rhs
-        if inner:
-            loop_acc += value * mult * inner
-        start = end
+                            inner += ways * comb(s - 1, s1 + 2 * g1) * lhs * rhs
+        loop_acc += value * mult * inner
 
-    acc += loop_acc / 2
-    result = acc / s
-    table[key] = result
+    # The loop sum runs over ordered splits a + b and so counts every loop
+    # twice; an odd sum would mean the recursion itself is wrong.
+    half, odd = divmod(loop_acc, 2)
+    if odd:
+        raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={mu}")
+    result = acc + half
+    table[(r, g, mu)] = result
     return result
+
+
+def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
+    """E(r, g, mu) for canonical mu, evaluated on an explicit stack.
+
+    The stack holds the suspended evaluation of every state whose child is
+    being computed, so only descendants of (r, g, mu) are visited and the
+    Python call depth stays constant however deep the recursion in s goes.
+    """
+    value = _known(r, g, mu, table)
+    if value is not None:
+        return value
+    stack = [_contraction(r, g, mu, table)]
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(_contraction(r, *child, table))
+            value = None
+    return value
+
+
+@lru_cache(maxsize=4096)
+def _fits_budget(r: int, g: int, d: int, parts: int) -> bool:
+    """Whether a query's cost bound is at most WORK_BUDGET.
+
+    Every state reachable from genus g, degree d and n parts has genus at
+    most g, a degree k <= d divisible by r, and at most n + g parts: a
+    merge removes a part, a handle trades a genus for a part, and each
+    side of a separating loop keeps at most n parts.  So
+
+        (g + 1) * sum_{k <= d, r | k} p(k; at most n + g parts)
+
+    bounds the memo states, and ``parts`` is n + g.  Each state tries
+    fewer than d loop splits a + b, each with up to g + 1 genus splits, so
+    the cost bound is that state bound times d * (g + 1).  The partition
+    counts come from the usual table over part sizes, abandoned as soon as
+    the bound is over.
+    """
+    limit = WORK_BUDGET // (d * (g + 1) ** 2)
+    degrees = range(r, d + 1, r)
+    if len(degrees) > limit:
+        return False
+    ways = [1] + [0] * d
+    for part in range(1, min(parts, d) + 1):
+        for k in range(part, d + 1):
+            ways[k] += ways[k - part]
+        if sum(ways[k] for k in degrees) > limit:
+            return False
+    return True
 
 
 def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fraction:
@@ -275,10 +378,24 @@ def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fractio
     Out-of-range queries evaluate to 0: non-divisible degree, negative
     genus, or negative edge count.  At s = 0 the value is 1 exactly for
     (g, n, mu) = (0, 1, (r)) and 0 otherwise.
+
+    Raises :class:`BudgetExceededError`, before evaluating anything, when
+    the query's cost bound exceeds WORK_BUDGET.
     """
     if memo is None:
         memo = MemoTable()
-    return _arrowed(idx.r, idx.g, canonical_profile(idx.mu), memo._table)
+    r, g = idx.r, idx.g
+    mu = canonical_profile(idx.mu)
+    s = _edge_count(r, g, mu)
+    if s is None:
+        return _ZERO
+    # At s = 0 the value is the seed or 0, with nothing to evaluate.
+    if s and not _fits_budget(r, g, idx.d, idx.n + g):
+        raise BudgetExceededError(
+            f"r={r} g={g} d={idx.d} n={idx.n}: the recursion's cost bound "
+            f"exceeds the budget of {WORK_BUDGET}"
+        )
+    return Fraction(_scaled(r, g, mu, memo._table), factorial(s))
 
 
 def orbifold_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fraction:

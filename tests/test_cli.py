@@ -1,9 +1,11 @@
 """End-to-end CLI contract: exit codes, serialization, exactness."""
 
+import hashlib
 import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,16 @@ def test_compute_invalid_input_exits_2(args):
     assert proc.returncode == 2
 
 
+def test_compute_over_budget_exits_2_without_traceback():
+    started = time.perf_counter()
+    proc = run_cli("compute", "--r", "1", "--genus", "0", "--mu", ",".join(["1"] * 600))
+    assert time.perf_counter() - started < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -159,6 +171,49 @@ def test_table_bad_genus_range_exits_2():
         "table", "--r", "1", "--genus", "2", "--genus-max", "1", "--degree-max", "2"
     )
     assert proc.returncode == 2
+
+
+# sha256 of the table stdout for g <= 2, d <= 12, recorded from the
+# Fraction-based recursion the integer one replaced.
+TABLE_GOLDEN = {
+    ("1", "csv"): "26349a0b7659cd2b5bc061b6d58693bbe91101f3f38efddb2f4931468248e47b",
+    ("1", "json"): "2038e5662aa1091a1273dffa0e6b5ddf32a9bc342531bc8dc40c3d70883d7c5d",
+    ("2", "csv"): "bfb4204f43836d506f394ff8abc264d9a64baadb1327fef865e4f58a621879a2",
+    ("2", "json"): "32e4bfa1dc6c5d2368476c03db2699b042627e6517ec5e84300756d1dd17594a",
+    ("3", "csv"): "752b7faf313de4a06735631babf64c453d38a95fbd0da9d30de0bdbbcaed2a72",
+    ("3", "json"): "6e5cce56c86285d5464b5e1c849d9e3b82b34aef7968fc00993ab526b26820a2",
+}
+
+
+def golden_table_stdout(r, fmt, *interpreter_flags):
+    proc = subprocess.run(
+        [sys.executable, *interpreter_flags, "-m", "orbifold_hurwitz", "table",
+         "--r", r, "--genus", "0", "--genus-max", "2", "--degree-max", "12",
+         "--format", fmt],
+        capture_output=True,
+        check=True,
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("r, fmt", sorted(TABLE_GOLDEN))
+def test_table_golden_digest(r, fmt):
+    digest = hashlib.sha256(golden_table_stdout(r, fmt)).hexdigest()
+    assert digest == TABLE_GOLDEN[r, fmt]
+
+
+def test_table_optimized_interpreter_prints_same_bytes():
+    # -O strips the grading asserts; the parity check must not depend on them.
+    optimized = golden_table_stdout("2", "csv", "-O")
+    assert optimized == golden_table_stdout("2", "csv")
+    assert hashlib.sha256(optimized).hexdigest() == TABLE_GOLDEN["2", "csv"]
+
+
+def test_table_over_budget_exits_2():
+    proc = run_cli("table", "--r", "1", "--genus", "300", "--degree-max", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Exact values and invariants of the counting recursion."""
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from orbifold_hurwitz import (
+    BudgetExceededError,
     DivisibilityError,
     HurwitzIndex,
     MemoTable,
@@ -227,6 +229,51 @@ def test_memo_canonicalizes_profile_order():
     assert len(memo) == size  # permuted query hits the same entries
     assert memo.lookup(2, 1, (2, 1, 3)) == a
     assert (2, 1, (1, 3, 2)) in memo
+
+
+def test_memo_lookup_returns_fractions():
+    memo = MemoTable()
+    value = arrowed_hurwitz(HurwitzIndex(1, 1, (2, 1)), memo)
+    assert value == F(2, 3)  # stored as the integer 5! * 2/3 = 80
+    assert isinstance(memo.lookup(1, 1, (1, 2)), Fraction)
+    assert memo.lookup(1, 1, (1, 2)) == value
+    assert memo.lookup(1, 0, (1, 2)) == F(4, 3)
+    assert memo.lookup(1, 5, (2, 1)) is None
+    assert (1, 1, [1, 2]) in memo
+    assert (1, 5, [1, 2]) not in memo
+
+
+def test_scaled_counts_are_integers():
+    # s! * arrowed counts arrowed graphs with labeled edges.
+    memo = MemoTable()
+    for r in (1, 2, 3):
+        for g in range(3):
+            for d in range(r, 13, r):
+                for mu in partitions(d):
+                    idx = HurwitzIndex(r, g, mu)
+                    assert (factorial(idx.s) * arrowed_hurwitz(idx, memo)).denominator == 1
+
+
+def test_deep_recursion_needs_no_python_stack():
+    # s = 299 edges deep; the seed implementation overflowed the stack here.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        value = orbifold_hurwitz(HurwitzIndex(1, 0, (300,)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == jpt_h01(1, 300)
+
+
+def test_budget_refuses_before_evaluating():
+    memo = MemoTable()
+    with pytest.raises(BudgetExceededError):
+        arrowed_hurwitz(HurwitzIndex(1, 0, (1,) * 600), memo)
+    with pytest.raises(BudgetExceededError):
+        arrowed_hurwitz(HurwitzIndex(1, 0, (1200,)), memo)
+    assert len(memo) == 0
+    # s = 0 needs no evaluation, however large the degree
+    assert arrowed_hurwitz(HurwitzIndex(10**6, 0, (10**6,)), memo) == 1
 
 
 def test_non_negativity_on_computed_range():
