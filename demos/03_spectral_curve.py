@@ -41,8 +41,8 @@ def main() -> None:
                 f"  [x^{d:2d}] = {str(c):>8s}   closed {str(closed):>8s}"
                 f"   recursion {str(recursive):>8s}"
             )
-        print(f"  ODE residual vanishes:      {spectral_ode_residual(r, order).is_zero()}")
-        print(f"  curve equation residual 0:  {lambert_functional_residual(r, order).is_zero()}")
+        print(f"  ODE residual vanishes:      {spectral_ode_residual(r, y).is_zero()}")
+        print(f"  curve equation residual 0:  {lambert_functional_residual(r, y).is_zero()}")
         print()
 
 

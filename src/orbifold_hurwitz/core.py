@@ -416,7 +416,7 @@ def tree_number(d: int) -> int:
 
         (d - 1) T_d = (1/2) * sum_{a+b=d} a b C(d, a) T_a T_b,   T_1 = 1.
 
-    The quotient is asserted to be integral.
+    The quotient must be integral; a remainder raises ArithmeticError.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -426,9 +426,10 @@ def tree_number(d: int) -> int:
     for a in range(1, d):
         b = d - a
         rhs += a * b * comb(d, a) * tree_number(a) * tree_number(b)
-    value = Fraction(rhs, 2 * (d - 1))
-    assert value.denominator == 1
-    return int(value)
+    value, remainder = divmod(rhs, 2 * (d - 1))
+    if remainder:
+        raise ArithmeticError(f"non-integral tree count at d={d}")
+    return value
 
 
 def jpt_h01(r: int, d: int) -> Fraction:

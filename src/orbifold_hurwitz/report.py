@@ -9,17 +9,8 @@ dicts (JSON-safe, no floats) and round-trip losslessly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 __all__ = ["CheckCase", "VerificationReport"]
-
-
-def _as_text(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -54,8 +45,8 @@ class VerificationReport:
 
     def check(self, description: str, expected, actual) -> bool:
         """Record one case; the case passes iff the two texts are equal."""
-        exp = _as_text(expected)
-        act = _as_text(actual)
+        exp = str(expected)
+        act = str(actual)
         ok = exp == act
         self.cases.append(CheckCase(description, exp, act, ok))
         return ok

@@ -6,9 +6,18 @@ Two carriers:
   i.e. ``c_0 + c_1 t + ... + c_N t^N + O(t^(N+1))``.
 * :class:`Series2`: a bivariate series truncated by *total* degree N.
 
-All coefficients are ``fractions.Fraction``; there is no floating point
-and no rounding.  Instances are immutable, every operation returns a new
-series, so concurrent use is safe.
+Coefficients are stored as ``fractions.Fraction`` tuples; there is no
+floating point and no rounding.  Instances are immutable, every operation
+returns a new series, so concurrent use is safe.
+
+Arithmetic runs on plain ``int``.  A product scales each operand to int
+numerators over one common denominator, convolves the ints, and builds
+one ``Fraction`` per output coefficient.  ``inverse``, ``log`` and ``exp``
+are one-pass recurrences (Knuth, TAOCP vol. 2, 4.7): coefficient by
+coefficient for ``Series1``, homogeneous component by component for
+``Series2``, with the part found so far kept as int numerators over its
+common denominator, so each step is integer convolutions plus one
+``Fraction`` per new coefficient.
 
 Truncation bookkeeping: binary operations carry the minimum of the input
 orders; ``compose(f, g)`` with val(g) >= 1 carries
@@ -26,7 +35,8 @@ curve, and the genus-0 one- and two-point generating functions in the
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, mul
 from typing import Iterable
 
 from .core import HurwitzIndex, MemoTable, arrowed_hurwitz
@@ -55,6 +65,80 @@ _ONE = Fraction(1)
 
 def _frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """Int numerators of the rationals ``coeffs`` over their least common
+    denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of the int polynomials a and b."""
+    rb = b[::-1]
+    top_a, top_b = len(a) - 1, len(b) - 1
+    out = []
+    for k in range(n + 1):
+        lo = k - top_b if k > top_b else 0
+        hi = k if k < top_a else top_a
+        start = top_b - k + lo
+        out.append(sum(map(mul, a[lo : hi + 1], rb[start : start + hi - lo + 1])))
+    return out
+
+
+def _over_multiple(rows, den: int, q: int) -> tuple[list[list[int]], int]:
+    """Int rows over ``den``, rescaled to a denominator that q divides."""
+    scale = q // gcd(den, q)
+    if scale == 1:
+        return rows, den
+    return [[v * scale for v in row] for row in rows], den * scale
+
+
+def _scaled_graded(comps) -> tuple[list[list[int]], int]:
+    """:func:`_scaled` for a list of graded components (coefficient lists,
+    one per degree), keeping the components apart."""
+    flat, den = _scaled([c for comp in comps for c in comp])
+    out, start = [], 0
+    for comp in comps:
+        out.append(flat[start : start + len(comp)])
+        start += len(comp)
+    return out, den
+
+
+def _graded_term(a, b, k: int, top: int) -> list[int]:
+    """Coefficients 0..top of sum_l a[l] * b[k - l], over the l for which
+    both graded int components exist: the degree-k part of a product."""
+    acc = [0] * (top + 1)
+    for l in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+        acc = list(map(add, acc, _convolve(a[l], b[k - l], top)))
+    return acc
+
+
+def _graded_solve(first, weights, offsets, divisors) -> list[list[Fraction]]:
+    """Solve h_0 = first, h_k = (offsets[k] + sum_{0<l<=k} weights[l] h_(k-l))
+    / divisors[k] for k = 1 .. len(weights) - 1.
+
+    ``first``, ``weights`` and ``offsets`` hold graded components: the
+    coefficient list of one degree, multiplied by convolution (length 1
+    for a univariate series, k + 1 for the degree-k part of a bivariate
+    one).  The solved components are kept as int numerators over their
+    common denominator, so each step is integer convolutions plus one
+    ``Fraction`` per new coefficient.
+    """
+    w, w_den = _scaled_graded(weights)
+    solved = [list(first)]
+    nums, den = _scaled_graded(solved)
+    for k in range(1, len(weights)):
+        acc = _graded_term(w, nums, k, len(offsets[k]) - 1)
+        comp = [
+            (Fraction(v, w_den * den) + offset) / divisors[k]
+            for v, offset in zip(acc, offsets[k])
+        ]
+        nums, den = _over_multiple(nums, den, lcm(*(c.denominator for c in comp)))
+        nums.append([c.numerator * (den // c.denominator) for c in comp])
+        solved.append(comp)
+    return solved
 
 
 class Series1:
@@ -161,22 +245,16 @@ class Series1:
         if isinstance(other, Series1):
             self._check_var(other)
             n = min(self.order, other.order)
-            out = [_ZERO] * (n + 1)
-            for i, a in Series1._nonzero(self._c, n):
-                for j, b in Series1._nonzero(other._c, n - i):
-                    out[i + j] += a * b
-            return Series1(out, n, self._var)
+            a, a_den = _scaled(self._c[: n + 1])
+            b, b_den = _scaled(other._c[: n + 1])
+            den = a_den * b_den
+            return Series1(
+                [Fraction(v, den) for v in _convolve(a, b, n)], n, self._var
+            )
         scale = _frac(other)
         return Series1([scale * v for v in self._c], self.order, self._var)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _nonzero(coeffs, limit):
-        for k in range(limit + 1):
-            v = coeffs[k]
-            if v:
-                yield k, v
 
     def __truediv__(self, other):
         if isinstance(other, Series1):
@@ -189,16 +267,17 @@ class Series1:
         c0 = self._c[0]
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        n = self.order
-        inv = [_ZERO] * (n + 1)
-        inv[0] = 1 / c0
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                if self._c[k]:
-                    acc += self._c[k] * inv[m - k]
-            inv[m] = -acc / c0
-        return Series1(inv, n, self._var)
+        # h_m = -(c_1 h_(m-1) + ... + c_m h_0) / c_0
+        return self._solved(
+            1 / c0, self._c, [_ZERO] * len(self._c), [-c0] * len(self._c)
+        )
+
+    def _solved(self, first, weights, offsets, divisors) -> "Series1":
+        """The univariate case of :func:`_graded_solve`, in this variable."""
+        graded = _graded_solve(
+            [first], [[w] for w in weights], [[v] for v in offsets], divisors
+        )
+        return Series1([comp[0] for comp in graded], self.order, self._var)
 
     def pow(self, exponent: int) -> "Series1":
         if exponent < 0:
@@ -263,30 +342,22 @@ class Series1:
         """log of a series with constant term 1."""
         if self._c[0] != 1:
             raise ValueError("log needs constant term 1")
-        u = self - _ONE
-        acc = Series1([_ZERO], self.order, self._var)
-        power = Series1([_ONE], self.order, self._var)
-        sign = 1
-        for k in range(1, self.order + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(sign, k)
-            sign = -sign
-        return acc
+        # u = t (log f)' solves f u = t f': u_n = n f_n - sum_k f_k u_(n-k)
+        u = self._solved(
+            _ZERO, [-v for v in self._c], self.euler()._c, [1] * len(self._c)
+        )
+        return Series1(
+            [_ZERO] + [v / k for k, v in enumerate(u._c) if k], self.order, self._var
+        )
 
     def exp(self) -> "Series1":
         """exp of a series with constant term 0."""
         if self._c[0] != 0:
             raise ValueError("exp needs constant term 0")
-        acc = Series1([_ONE], self.order, self._var)
-        power = Series1([_ONE], self.order, self._var)
-        for k in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(1, factorial(k))
-        return acc
+        # h = exp(g) solves h' = g' h: n h_n = sum_k k g_k h_(n-k)
+        return self._solved(
+            _ONE, self.euler()._c, [_ZERO] * len(self._c), range(len(self._c))
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -409,21 +480,16 @@ class Series2:
         if isinstance(other, Series2):
             self._check(other)
             n = self._binary_order(other)
-            rows = [[_ZERO] * (n - i + 1) for i in range(n + 1)]
-            left = [(ij, v) for ij, v in self.terms() if sum(ij) <= n]
-            right = [(ij, v) for ij, v in other.terms() if sum(ij) <= n]
-            for (i1, j1), a in left:
-                for (i2, j2), b in right:
-                    i, j = i1 + i2, j1 + j2
-                    if i + j <= n:
-                        rows[i][j] += a * b
-            data = {
-                (i, j): rows[i][j]
-                for i in range(n + 1)
-                for j in range(n - i + 1)
-                if rows[i][j]
-            }
-            return Series2(data, n, self._vars)
+            a, a_den = _scaled_graded(self._graded(n))
+            b, b_den = _scaled_graded(other._graded(n))
+            den = a_den * b_den
+            return Series2._from_graded(
+                [
+                    [Fraction(v, den) for v in _graded_term(a, b, k, k)]
+                    for k in range(n + 1)
+                ],
+                self._vars,
+            )
         scale = _frac(other)
         return Series2(
             {ij: scale * v for ij, v in self.terms()}, self._order, self._vars
@@ -443,30 +509,24 @@ class Series2:
         c00 = self._c[0][0]
         if c00 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        u = Series2._one(self._order, self._vars) - self / c00
-        acc = Series2._one(self._order, self._vars)
-        power = Series2._one(self._order, self._vars)
-        for _ in range(self._order):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc / c00
+        # degree by degree: H_k = -(F_1 H_(k-1) + ... + F_k H_0) / c00
+        f = self._graded(self._order)
+        zeros = [[_ZERO] * len(comp) for comp in f]
+        solved = _graded_solve([1 / c00], f, zeros, [-c00] * len(f))
+        return Series2._from_graded(solved, self._vars)
 
     def log(self) -> "Series2":
         if self._c[0][0] != 1:
             raise ValueError("log needs constant term 1")
-        u = self - _ONE
-        acc = Series2.zero(self._order, self._vars)
-        power = Series2._one(self._order, self._vars)
-        sign = 1
-        for k in range(1, self._order + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(sign, k)
-            sign = -sign
-        return acc
+        # U = euler(log F) solves F U = euler(F); log F has H_k = U_k / k
+        n = self._order
+        u = _graded_solve(
+            [_ZERO], (-self)._graded(n), self.euler()._graded(n), [1] * (n + 1)
+        )
+        return Series2._from_graded(
+            [[v / k for v in comp] if k else comp for k, comp in enumerate(u)],
+            self._vars,
+        )
 
     def euler(self) -> "Series2":
         """Apply z1 d/dz1 + z2 d/dz2 (scales each term by its total degree)."""
@@ -497,50 +557,28 @@ class Series2:
             self._vars[1],
         )
 
+    def _graded(self, n: int) -> list[list[Fraction]]:
+        """Homogeneous components 0..n; component k lists the coefficients
+        of z1^i z2^(k-i) for i = 0..k."""
+        return [[self._c[i][k - i] for i in range(k + 1)] for k in range(n + 1)]
+
+    @classmethod
+    def _from_graded(cls, comps, vars: tuple[str, str]) -> "Series2":
+        return cls(
+            {(i, k - i): v for k, comp in enumerate(comps) for i, v in enumerate(comp)},
+            len(comps) - 1,
+            vars,
+        )
+
     @classmethod
     def zero(cls, order: int, vars: tuple[str, str] = ("z1", "z2")) -> "Series2":
         return cls({}, order, vars)
-
-    @classmethod
-    def _one(cls, order: int, vars: tuple[str, str]) -> "Series2":
-        return cls({(0, 0): _ONE}, order, vars)
 
     @classmethod
     def monomial(
         cls, coeff, i: int, j: int, order: int, vars: tuple[str, str] = ("z1", "z2")
     ) -> "Series2":
         return cls({(i, j): _frac(coeff)}, order, vars)
-
-    @classmethod
-    def outer(
-        cls,
-        a: Series1,
-        b: Series1,
-        order: int,
-        vars: tuple[str, str] = ("z1", "z2"),
-    ) -> "Series2":
-        """The product a(z1) * b(z2) truncated by total degree.
-
-        Honesty check: every coefficient with i + j <= order must be
-        derivable from the known parts of a and b, which requires
-        order <= min(a.order + val(b), b.order + val(a)).
-        """
-        va = a.valuation()
-        vb = b.valuation()
-        if va is None or vb is None:
-            return cls.zero(order, vars)
-        if order > min(a.order + vb, b.order + va):
-            raise ValueError("outer product order exceeds the inputs' knowledge")
-        data = {}
-        for i in range(va, min(a.order, order) + 1):
-            ai = a.coefficient(i)
-            if not ai:
-                continue
-            for j in range(vb, min(b.order, order - i) + 1):
-                bj = b.coefficient(j)
-                if bj:
-                    data[(i, j)] = ai * bj
-        return cls(data, order, vars)
 
 
 def divided_difference(
@@ -641,20 +679,20 @@ def w01_coefficients(r: int, order: int) -> list[tuple[int, Fraction]]:
     return [(d, c) for d, c in enumerate(y.coefficients) if c]
 
 
-def spectral_ode_residual(r: int, order: int) -> Series1:
-    """Residual of x y'(x) (1 - r y) - r y for the curve series; zero if exact.
+def spectral_ode_residual(r: int, y: Series1) -> Series1:
+    """Residual of x y'(x) (1 - r y) - r y for a curve series y(x), such as
+    ``spectral_curve_y_of_x(r, order)``; zero if exact.
 
     At r = 1 this is the same identity as dx/dy = x (1 - y)/y for the
     classical Lambert curve.
     """
-    y = spectral_curve_y_of_x(r, order)
     return y.euler() * (1 - r * y) - r * y
 
 
-def lambert_functional_residual(r: int, order: int) -> Series1:
-    """Residual of y exp(-r y) - x^r after substituting the curve series."""
-    y = spectral_curve_y_of_x(r, order)
-    return y * ((-r) * y).exp() - Series1.monomial(1, r, order, "x")
+def lambert_functional_residual(r: int, y: Series1) -> Series1:
+    """Residual of y exp(-r y) - x^r for a curve series y(x), such as
+    ``spectral_curve_y_of_x(r, order)``; zero if exact."""
+    return y * ((-r) * y).exp() - Series1.monomial(1, r, y.order, y.var)
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +722,7 @@ def f01_from_counts(
     r: int, order: int, memo: MemoTable | None = None
 ) -> Series1:
     """The one-point genus-0 energy sum_d (count(d)/d) x^d, pulled back to z."""
-    memo = memo or MemoTable()
-    counts = _one_part_counts(r, order, memo)
-    in_x = Series1(
-        [_ZERO] + [counts[d - 1] / d for d in range(1, order + 1)], order, "x"
-    )
-    return in_x.compose(x_of_z(r, order))
+    return f01_in_x(r, order, memo).compose(x_of_z(r, order))
 
 
 def f01_in_x(r: int, order: int, memo: MemoTable | None = None) -> Series1:
@@ -725,19 +758,40 @@ def f02_from_counts(
     if total_order < 2:
         raise ValueError("total order must be at least 2")
     memo = memo or MemoTable()
-    x = x_of_z(r, total_order - 1)
-    powers: dict[int, Series1] = {1: x}
-    for mu in range(2, total_order):
-        powers[mu] = powers[mu - 1] * x
-    acc = Series2.zero(total_order)
-    for mu1 in range(1, total_order):
-        for mu2 in range(1, total_order - mu1 + 1):
+    n = total_order
+    x = x_of_z(r, n - 1)
+    powers = [None, _scaled(x.coefficients)]
+    power = x
+    for _ in range(2, n):
+        power = power * x
+        powers.append(_scaled(power.coefficients))
+    # table[i][j] / den accumulates the [z1^i z2^j] coefficient in ints;
+    # x^mu has valuation mu, so only i >= mu1, j >= mu2 contribute.
+    table = [[0] * (n - i + 1) for i in range(n + 1)]
+    den = 1
+    for mu1 in range(1, n):
+        p1, den1 = powers[mu1]
+        for mu2 in range(1, n - mu1 + 1):
             count = arrowed_hurwitz(HurwitzIndex(r, 0, (mu1, mu2)), memo)
             if not count:
                 continue
-            weight = count / (mu1 * mu2)
-            acc = acc + Series2.outer(powers[mu1], powers[mu2], total_order) * weight
-    return acc
+            p2, den2 = powers[mu2]
+            weight = count / (mu1 * mu2 * den1 * den2)
+            table, den = _over_multiple(table, den, weight.denominator)
+            factor = weight.numerator * (den // weight.denominator)
+            for i in range(mu1, n - mu2 + 1):
+                row, a = table[i], factor * p1[i]
+                if a:
+                    for j in range(mu2, n - i + 1):
+                        row[j] += a * p2[j]
+    return Series2(
+        {
+            (i, j): Fraction(v, den)
+            for i, row in enumerate(table)
+            for j, v in enumerate(row)
+        },
+        n,
+    )
 
 
 def f02_pde_residual(r: int, total_order: int) -> Series2:

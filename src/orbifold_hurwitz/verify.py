@@ -116,10 +116,11 @@ def verify_spectral_ode(r: int, order: int) -> VerificationReport:
     if order < 2 * r:
         raise ValueError("order must be at least 2r")
     report = VerificationReport(f"ode r={r} order={order}")
-    ode = spectral_ode_residual(r, order)
+    curve = spectral_curve_y_of_x(r, order)
+    ode = spectral_ode_residual(r, curve)
     for k, c in enumerate(ode.coefficients):
         report.check(f"ODE residual [x^{k}]", _ZERO, c)
-    functional = lambert_functional_residual(r, order)
+    functional = lambert_functional_residual(r, curve)
     for k, c in enumerate(functional.coefficients):
         report.check(f"curve-equation residual [x^{k}]", _ZERO, c)
     return report

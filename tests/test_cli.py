@@ -209,6 +209,22 @@ def test_table_optimized_interpreter_prints_same_bytes():
     assert hashlib.sha256(optimized).hexdigest() == TABLE_GOLDEN["2", "csv"]
 
 
+def test_table_closed_stdout_pipe_exits_141_without_traceback():
+    # about 150 kB of output, more than a pipe buffers, so writes must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbifold_hurwitz", "table", "--r", "1",
+         "--genus", "0", "--genus-max", "2", "--degree-max", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"r,g,mu,n,d,s,arrowed,hurwitz\r\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
+
+
 def test_table_over_budget_exits_2():
     proc = run_cli("table", "--r", "1", "--genus", "300", "--degree-max", "2")
     assert proc.returncode == 2
@@ -268,6 +284,95 @@ def test_series_invalid_flags_exit_2(args):
     assert proc.returncode == 2
 
 
+# sha256 of the series stdout at order 14, recorded from the per-term
+# Fraction engine the integer one replaced.
+SERIES_GOLDEN = {
+    ("curve", "1", "json"): "4aa6d9ee935a3d347c1a1f559fa21744ec91b3ca8a2659360c91902be3f65a67",
+    ("curve", "1", "text"): "08acb534b506e2db6dc823545cd29b6e52a29e0121bbcc7221248d52d2aa9980",
+    ("curve", "2", "json"): "7b2bd6b500764993cf12c023409870980e062fc085e8eea7be9364908ff5d183",
+    ("curve", "2", "text"): "0fb896dbd90758fea762287858c0cd8ba6c132a4409d6e29b921ec1249bab2ce",
+    ("curve", "3", "json"): "536c6a6601124e8d3532fac94e99e72df3c32e0a1552a31440cf2afc4639a833",
+    ("curve", "3", "text"): "ec17b21ecd0f8bc68006772c2fbb829261f6f0f14b1bfe16071f71f32f2c7afb",
+    ("f01", "1", "json"): "43aef707dfce2e8b70d67f47c6edb2d3df78995a71291f34d3250c1c161fdd75",
+    ("f01", "1", "text"): "bbf1dff91cbbc3a2586a9b8f9104bf3c6e294fa4a74e568218c2f02c81481137",
+    ("f01", "2", "json"): "bb609b400bb4ecc9d949d1a8fc3668c557cea5cb2f6c5f678c9c934a042cbac5",
+    ("f01", "2", "text"): "3f481746484c7453429853412a5a5753dd847300d8df6a7b9655b81cb293593c",
+    ("f01", "3", "json"): "12c7c1dee2748c141b73e1443bdf5801b8f42198fa03344d55bfd703fc98a116",
+    ("f01", "3", "text"): "bdc6d5f51a2910d47ffdad20aae260113cb066d144e789bd49d1c07a564d0b4f",
+    ("f02", "1", "json"): "9e655fbdffb8d1ec92fea089493ea244aceebba64ba4b5b0ca388c0dc0e2b361",
+    ("f02", "1", "text"): "f0c284f20a00c7034caeadcb01ad4cd5bdce13020322c345bcb2f373fa587fa2",
+    ("f02", "2", "json"): "d1b715e724e01a8ebe2ac3678925fb854ed8208a315ee44cd251a399a4ea2502",
+    ("f02", "2", "text"): "9edae33da8626689d76c6cb5d85d1b8773b632a4fb1e502290128c63c397fe0b",
+    ("f02", "3", "json"): "ca0c25be8d06891d37670753bfffa0cfafc7e76337b0719b5a28c404f881bfdf",
+    ("f02", "3", "text"): "7d93dafa2c832aa8698d3b59743b73b49260d2c080596150c19f253f788c4066",
+    ("w01", "1", "json"): "0a61107b8d1af14dc913a0a3809ce0024792f832c8edd8b1efb8ec15fbc44b8d",
+    ("w01", "1", "text"): "08acb534b506e2db6dc823545cd29b6e52a29e0121bbcc7221248d52d2aa9980",
+    ("w01", "2", "json"): "6a72ad868ef292cb2bd88252091fefa7239b3bd46464cd603cc9a003605c62f4",
+    ("w01", "2", "text"): "0fb896dbd90758fea762287858c0cd8ba6c132a4409d6e29b921ec1249bab2ce",
+    ("w01", "3", "json"): "0033f938cc45f5ce424ffc59eb63dc3b80b96b404dd30c9cf588c3806af7f873",
+    ("w01", "3", "text"): "ec17b21ecd0f8bc68006772c2fbb829261f6f0f14b1bfe16071f71f32f2c7afb",
+}
+
+
+def stdout_digest(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("which, r, fmt", sorted(SERIES_GOLDEN))
+def test_series_golden_digest(capsys, which, r, fmt):
+    digest = stdout_digest(
+        capsys, "series", "--which", which, "--r", r, "--order", "14", "--format", fmt
+    )
+    assert digest == SERIES_GOLDEN[which, r, fmt]
+
+
+def test_series_optimized_interpreter_prints_same_bytes():
+    argv = ["-m", "orbifold_hurwitz", "series", "--which", "f02", "--r", "2",
+            "--order", "14", "--format", "json"]
+    debug = subprocess.run([sys.executable, *argv], capture_output=True, check=True)
+    optimized = subprocess.run(
+        [sys.executable, "-O", *argv], capture_output=True, check=True
+    )
+    assert optimized.stdout == debug.stdout
+    digest = hashlib.sha256(optimized.stdout).hexdigest()
+    assert digest == SERIES_GOLDEN["f02", "2", "json"]
+
+
+@pytest.mark.parametrize(
+    "which, r, order",
+    [
+        ("curve", "1", "2000"),
+        ("f02", "1", "400"),
+        ("w01", "1", "2000"),
+        ("f01", "1", "10000000"),
+        # few products, but 10^10 coefficients to build
+        ("curve", "10000000000", "10000000000"),
+    ],
+)
+def test_series_over_budget_refused_before_any_work(which, r, order):
+    argv = ["series", "--which", which, "--r", r, "--order", order]
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert time.perf_counter() - started < 1
+    assert refused.value.code == 2
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_series_budget_admits_the_documented_largest_dumps():
+    assert cli.series_cost("curve", 1, 143) <= cli.SERIES_BUDGET
+    assert cli.series_cost("curve", 1, 144) > cli.SERIES_BUDGET
+    assert cli.series_cost("f02", 1, 74) <= cli.SERIES_BUDGET
+    assert cli.series_cost("f02", 1, 75) > cli.SERIES_BUDGET
+    # the verify-series benchmark orders, as series dumps, fit with room
+    assert cli.series_cost("curve", 1, 80) <= cli.SERIES_BUDGET
+    assert cli.series_cost("f02", 1, 23) <= cli.SERIES_BUDGET
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -304,6 +409,30 @@ def test_verify_json_schema_and_round_trip():
     # report objects reconstruct losslessly from their serialization
     rebuilt = [VerificationReport.from_dict(r) for r in reports]
     assert [r.to_dict() for r in rebuilt] == reports
+
+
+# sha256 of the verify JSON, recorded from the per-term Fraction engine the
+# integer one replaced; the JSON carries every expected and actual value.
+VERIFY_GOLDEN = {
+    "all": "971e3197054b6d60388374b3a26ee44a59d45ca7d2565084b181f765e5798b78",
+    "ode": "deaf4ab75e5b8b0b86ba65e22522a60dda16cf0a957383ead05d77f5a697aad1",
+    "f01": "0f7e01a45fef0bdd83a27e6b6db8f379f4dac5dadfc1f52102fe83f3087d462c",
+    "f02": "96a5fc0d55a7a1ea8050776ee051a0782ca3982185df37cf7d8a353e22b8ca92",
+    "pde": "54c9e65bcc51c5ca538be3f56e46cf365009eba3bc26fd65752e9c0237d3b9f9",
+}
+VERIFY_GOLDEN_ARGS = {
+    "all": (),
+    "ode": ("--r", "1,2,3", "--order", "40"),
+    "f01": ("--r", "1,2,3", "--order", "24"),
+    "f02": ("--r", "1,2,3", "--total-order", "16"),
+    "pde": ("--r", "1,2,3", "--total-order", "16"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_GOLDEN))
+def test_verify_golden_digest(capsys, suite):
+    argv = ("verify", "--suite", suite, *VERIFY_GOLDEN_ARGS[suite], "--json")
+    assert stdout_digest(capsys, *argv) == VERIFY_GOLDEN[suite]
 
 
 def test_verify_bad_flags_exit_2():

@@ -145,6 +145,20 @@ def test_tree_number_rejects_bad_input():
         tree_number(0)
 
 
+def test_tree_number_non_integral_quotient_raises(monkeypatch):
+    # With every binomial forced to 1, (d - 1) T_d = 1/2 at d = 2 has no
+    # integral solution.  divmod catches it in every build, -O included.
+    from orbifold_hurwitz import core
+
+    tree_number.cache_clear()
+    monkeypatch.setattr(core, "comb", lambda d, a: 1)
+    try:
+        with pytest.raises(ArithmeticError):
+            tree_number(2)
+    finally:
+        tree_number.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbifold_hurwitz import (
     HurwitzIndex,
@@ -218,12 +221,12 @@ def test_curve_series_r2():
 
 def test_curve_satisfies_functional_equation():
     for r in (1, 2, 3):
-        assert lambert_functional_residual(r, 12).is_zero()
+        assert lambert_functional_residual(r, spectral_curve_y_of_x(r, 12)).is_zero()
 
 
 def test_curve_satisfies_first_order_ode():
     for r in (1, 2, 3):
-        assert spectral_ode_residual(r, 12).is_zero()
+        assert spectral_ode_residual(r, spectral_curve_y_of_x(r, 12)).is_zero()
     assert verify_spectral_ode(1, 20).passed
     assert verify_spectral_ode(2, 20).passed
     assert verify_spectral_ode(3, 12).passed
@@ -312,3 +315,190 @@ def test_f02_satisfies_pde():
         assert f02_pde_residual(r, 8).is_zero()
     assert verify_f02_pde(1, 10).passed
     assert verify_f02_pde(2, 10).passed
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against the plain Fraction loops it replaced
+# ---------------------------------------------------------------------------
+#
+# Reference implementations: the per-term Fraction convolutions and the
+# power-sum log/exp/inverse, kept verbatim apart from building on each
+# other instead of on the engine's products.
+
+
+def ref_mul1(a, b):
+    n = min(a.order, b.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        if a.coefficients[i]:
+            for j in range(n - i + 1):
+                if b.coefficients[j]:
+                    out[i + j] += a.coefficients[i] * b.coefficients[j]
+    return Series1(out, n, a.var)
+
+
+def ref_inverse1(f):
+    c = f.coefficients
+    n = f.order
+    inv = [F(0)] * (n + 1)
+    inv[0] = 1 / c[0]
+    for m in range(1, n + 1):
+        acc = F(0)
+        for k in range(1, m + 1):
+            if c[k]:
+                acc += c[k] * inv[m - k]
+        inv[m] = -acc / c[0]
+    return Series1(inv, n, f.var)
+
+
+def ref_log1(f):
+    u = f - 1
+    acc = Series1.zero(f.order, f.var)
+    power = Series1.one(f.order, f.var)
+    sign = 1
+    for k in range(1, f.order + 1):
+        power = ref_mul1(power, u)
+        if power.is_zero():
+            break
+        acc = acc + power * F(sign, k)
+        sign = -sign
+    return acc
+
+
+def ref_exp1(g):
+    acc = Series1.one(g.order, g.var)
+    power = Series1.one(g.order, g.var)
+    for k in range(1, g.order + 1):
+        power = ref_mul1(power, g)
+        if power.is_zero():
+            break
+        acc = acc + power * F(1, factorial(k))
+    return acc
+
+
+def ref_mul2(a, b):
+    n = min(a.order, b.order)
+    rows = [[F(0)] * (n - i + 1) for i in range(n + 1)]
+    left = [(ij, v) for ij, v in a.terms() if sum(ij) <= n]
+    right = [(ij, v) for ij, v in b.terms() if sum(ij) <= n]
+    for (i1, j1), x in left:
+        for (i2, j2), y in right:
+            i, j = i1 + i2, j1 + j2
+            if i + j <= n:
+                rows[i][j] += x * y
+    data = {
+        (i, j): rows[i][j]
+        for i in range(n + 1)
+        for j in range(n - i + 1)
+        if rows[i][j]
+    }
+    return Series2(data, n, a.vars)
+
+
+def ref_inverse2(f):
+    c00 = f.coefficient(0, 0)
+    one = Series2.monomial(1, 0, 0, f.order, f.vars)
+    u = one - f / c00
+    acc = one
+    power = one
+    for _ in range(f.order):
+        power = ref_mul2(power, u)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc / c00
+
+
+def ref_log2(f):
+    u = f - 1
+    acc = Series2.zero(f.order, f.vars)
+    power = Series2.monomial(1, 0, 0, f.order, f.vars)
+    sign = 1
+    for k in range(1, f.order + 1):
+        power = ref_mul2(power, u)
+        if power.is_zero():
+            break
+        acc = acc + power * F(sign, k)
+        sign = -sign
+    return acc
+
+
+# mixed signs and denominators, with zeros common enough to make gaps
+coeff = st.one_of(
+    st.just(F(0)), st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+)
+reference = settings(derandomize=True, deadline=None, max_examples=120)
+
+
+@st.composite
+def series1(draw, constant=None, max_order=10):
+    """A series with a drawn order and valuation (order + 1 means zero)."""
+    order = draw(st.integers(0, max_order))
+    valuation = draw(st.integers(0, order + 1))
+    coeffs = [F(0)] * valuation + [draw(coeff) for _ in range(valuation, order + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    return Series1(coeffs, order)
+
+
+@st.composite
+def series2(draw, constant=None):
+    """A total-order 0..8 series with a drawn lowest total degree."""
+    order = draw(st.integers(0, 8))
+    low = draw(st.integers(0, order + 1))
+    data = {
+        (i, k - i): draw(coeff) for k in range(low, order + 1) for i in range(k + 1)
+    }
+    if constant is not None:
+        data[(0, 0)] = constant
+    return Series2(data, order)
+
+
+nonzero = st.builds(F, st.integers(1, 9), st.integers(1, 9)) | st.builds(
+    F, st.integers(-9, -1), st.integers(1, 9)
+)
+
+
+@reference
+@given(series1(), series1())
+def test_series1_product_matches_fraction_convolution(a, b):
+    assert a * b == ref_mul1(a, b)
+    assert b * a == ref_mul1(a, b)
+
+
+@reference
+@given(series1(), nonzero)
+def test_series1_inverse_matches_fraction_recurrence(f, c0):
+    f = f + (c0 - f.coefficient(0))
+    assert f.inverse() == ref_inverse1(f)
+
+
+@reference
+@given(series1(constant=F(1)))
+def test_series1_log_matches_power_sum(f):
+    assert f.log() == ref_log1(f)
+
+
+@reference
+@given(series1(constant=F(0)))
+def test_series1_exp_matches_power_sum(g):
+    assert g.exp() == ref_exp1(g)
+
+
+@reference
+@given(series2(), series2())
+def test_series2_product_matches_fraction_convolution(a, b):
+    assert a * b == ref_mul2(a, b)
+
+
+@reference
+@given(series2(), nonzero)
+def test_series2_inverse_matches_power_sum(f, c00):
+    f = f + (c00 - f.coefficient(0, 0))
+    assert f.inverse() == ref_inverse2(f)
+
+
+@reference
+@given(series2(constant=F(1)))
+def test_series2_log_matches_power_sum(f):
+    assert f.log() == ref_log2(f)
