@@ -7,10 +7,13 @@ tau_k, sigma_inf of cycle type mu, a transitive action (connectedness), and
 a labeling of sigma_inf's cycles.  Counting tuples and dividing by d! s!
 reproduces the orbifold Hurwitz number -- with no reference to the
 edge-contraction recursion, which is what makes the agreement a real test.
+Both routes take the same HurwitzIndex.  The count is the same for every
+sigma_0 of the type, so the oracle enumerates one and multiplies by the
+number of them.
 """
 
 from orbifold_hurwitz import (
-    FactorizationInstance,
+    HurwitzIndex,
     count_monodromy_tuples,
     raw_tuple_count,
     verify_against_oracle,
@@ -20,9 +23,9 @@ from orbifold_hurwitz import (
 def main() -> None:
     print("normalization anchors:")
     for r, g, mu in ((3, 0, (3,)), (1, 0, (2, 1)), (2, 0, (3, 1))):
-        inst = FactorizationInstance(r, g, mu)
-        raw = raw_tuple_count(r, mu, inst.s)
-        value = count_monodromy_tuples(inst)
+        idx = HurwitzIndex(r, g, mu)
+        raw = raw_tuple_count(r, mu, idx.s)
+        value = count_monodromy_tuples(idx)
         print(f"  r={r} g={g} mu={mu}: {raw} labeled tuples / (d! s!) = {value}")
     print()
 

@@ -8,21 +8,21 @@ closed formulas and an independent symmetric-group monodromy enumeration.
 """
 
 from .core import (
-    DivisibilityError,
-    HurwitzIndex,
     MemoTable,
     arrowed_hurwitz,
-    canonical_profile,
     jpt_h01,
     jpt_h02,
     orbifold_hurwitz,
     partitions,
-    simple_ramification_count,
     tree_number,
 )
-from .oracle import (
+from .index import (
     BudgetExceededError,
-    FactorizationInstance,
+    DivisibilityError,
+    HurwitzIndex,
+    canonical_profile,
+)
+from .oracle import (
     PermutationTuple,
     count_monodromy_tuples,
     enumerate_monodromy_tuples,
@@ -43,7 +43,6 @@ from .series import (
     lambert_functional_residual,
     spectral_curve_y_of_x,
     spectral_ode_residual,
-    w01_coefficients,
     x_of_z,
 )
 from .verify import (
@@ -63,7 +62,6 @@ __all__ = [
     "BudgetExceededError",
     "CheckCase",
     "DivisibilityError",
-    "FactorizationInstance",
     "HurwitzIndex",
     "MemoTable",
     "PermutationTuple",
@@ -88,7 +86,6 @@ __all__ = [
     "orbifold_hurwitz",
     "partitions",
     "raw_tuple_count",
-    "simple_ramification_count",
     "spectral_curve_y_of_x",
     "spectral_ode_residual",
     "tree_number",
@@ -100,6 +97,5 @@ __all__ = [
     "verify_jpt",
     "verify_r_scaling",
     "verify_spectral_ode",
-    "w01_coefficients",
     "x_of_z",
 ]

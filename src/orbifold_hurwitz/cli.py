@@ -23,14 +23,13 @@ import os
 import sys
 from math import comb
 
-from .core import HurwitzIndex, MemoTable, arrowed_hurwitz, orbifold_hurwitz, partitions
-from .oracle import BudgetExceededError
+from .core import MemoTable, arrowed_hurwitz, orbifold_hurwitz, partitions
+from .index import BudgetExceededError, HurwitzIndex
 from .report import VerificationReport
 from .series import (
     f01_closed_in_z,
     f02_closed_in_z,
     spectral_curve_y_of_x,
-    w01_coefficients,
 )
 from .verify import (
     verify_against_oracle,
@@ -46,9 +45,9 @@ from .verify import (
 SUITES = ("jpt", "cayley", "oracle", "f01", "f02", "ode", "pde", "scaling", "all")
 SERIES_KINDS = ("curve", "f01", "f02", "w01")
 TABLE_HEADER = ["r", "g", "mu", "n", "d", "s", "arrowed", "hurwitz"]
-# Largest series_cost a ``series`` dump may have.  The largest admitted
-# dumps, curve r=1 order 143 and f02 r=1 order 74, took 2.4 s and 0.9 s
-# on a 2-vCPU Xeon with CPython 3.11.
+# Largest series_cost a ``series`` dump, or an ode, pde or f02 verify suite,
+# may have.  The largest admitted dumps, curve r=1 order 143 and f02 r=1
+# order 74, took 2.4 s and 0.9 s on a 2-vCPU Xeon with CPython 3.11.
 SERIES_BUDGET = 1_500_000
 
 
@@ -190,11 +189,10 @@ def _cmd_table(args, parser) -> int:
 
 def _series_terms(which: str, r: int, order: int):
     """(exponents, coefficient) pairs; zero coefficients are omitted."""
-    if which == "curve":
+    if which in ("curve", "w01"):
+        # w01 = y(x) dx/x has the curve's coefficients; it is an alias.
         y = spectral_curve_y_of_x(r, order)
         return "x", [((d,), c) for d, c in enumerate(y.coefficients) if c]
-    if which == "w01":
-        return "x", [((d,), c) for d, c in w01_coefficients(r, order)]
     if which == "f01":
         f = f01_closed_in_z(r, max(order, r))
         return "z", [((d,), c) for d, c in enumerate(f.coefficients) if c and d <= order]
@@ -262,9 +260,25 @@ def _cmd_series(args, parser) -> int:
 def _run_suites(args, parser) -> list[VerificationReport]:
     r_list = _parse_r_list(args.r, parser)
     order = args.order
+    ode_order = 20 if order is None else order
     reports: list[VerificationReport] = []
     memo = MemoTable()
     wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    # The series suites are admitted before any suite runs: ode builds the
+    # curve to its order, pde and f02 the two-point energy to theirs.
+    for suite in wanted:
+        if suite not in ("ode", "pde", "f02"):
+            continue
+        for r in r_list:
+            if suite == "ode":
+                cost = series_cost("curve", r, ode_order)
+            else:
+                cost = series_cost("f02", r, args.total_order)
+            if cost > SERIES_BUDGET:
+                parser.error(
+                    f"suite {suite} --r {r}: cost bound {cost} exceeds the "
+                    f"series budget of {SERIES_BUDGET}"
+                )
     for suite in wanted:
         try:
             if suite == "jpt":
@@ -282,7 +296,7 @@ def _run_suites(args, parser) -> list[VerificationReport]:
                     reports.append(verify_f02(r, args.total_order, memo))
             elif suite == "ode":
                 for r in r_list:
-                    reports.append(verify_spectral_ode(r, 20 if order is None else order))
+                    reports.append(verify_spectral_ode(r, ode_order))
             elif suite == "pde":
                 for r in r_list:
                     reports.append(verify_f02_pde(r, args.total_order))

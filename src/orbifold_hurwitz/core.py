@@ -17,7 +17,9 @@ boundary, where E is divided by s!.  Evaluation is demand-driven on an
 explicit stack of suspended per-state evaluations, so it visits only the
 descendants of the query and never hits Python's recursion limit.  Before
 evaluating, a query whose cost bound exceeds ``WORK_BUDGET`` is refused
-with :class:`BudgetExceededError`.
+with :class:`BudgetExceededError`.  Queries are named by
+:class:`~orbifold_hurwitz.index.HurwitzIndex`, which also owns the edge
+count s; this module never imports the monodromy oracle.
 
 Concurrency: all functions are pure.  ``MemoTable`` relies on CPython's
 atomic dict operations; concurrent writers always store identical values
@@ -27,31 +29,24 @@ equivalent and needs no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 from typing import Generator, Iterable, Iterator
 
-from .oracle import BudgetExceededError
+from .index import BudgetExceededError, HurwitzIndex, Profile, canonical_profile, edge_count
 
 __all__ = [
-    "DivisibilityError",
-    "HurwitzIndex",
     "MemoTable",
     "WORK_BUDGET",
     "arrowed_hurwitz",
-    "canonical_profile",
     "jpt_h01",
     "jpt_h02",
     "orbifold_hurwitz",
     "partitions",
-    "simple_ramification_count",
     "tree_number",
 ]
-
-Profile = tuple[int, ...]
 
 _ZERO = Fraction(0)
 
@@ -61,76 +56,6 @@ _ZERO = Fraction(0)
 # CPython 3.11; the largest bound in the r = 2, g <= 2, d <= 20 table is
 # 276,660.
 WORK_BUDGET = 500_000
-
-
-class DivisibilityError(ValueError):
-    """The orbifold order r does not divide the profile degree d."""
-
-
-def canonical_profile(mu: Iterable[int]) -> Profile:
-    """Validate a profile and return it sorted in descending order."""
-    parts = tuple(mu)
-    if not parts:
-        raise ValueError("profile must have at least one part")
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"profile parts must be positive integers, got {p!r}")
-    return tuple(sorted(parts, reverse=True))
-
-
-@dataclass(frozen=True)
-class HurwitzIndex:
-    """The triple (r, g, mu) naming one counting problem.
-
-    r is the orbifold order, g the genus, and mu the ordered profile over
-    the second branch point.  Derived quantities: degree ``d``, face count
-    ``m = d/r`` and edge count ``s = 2g - 2 + d/r + n``, the latter two
-    defined only when r divides d.
-    """
-
-    r: int
-    g: int
-    mu: Profile
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if not isinstance(self.g, int) or self.g < 0:
-            raise ValueError(f"g must be a non-negative integer, got {self.g!r}")
-        parts = tuple(self.mu)
-        canonical_profile(parts)
-        object.__setattr__(self, "mu", parts)
-
-    @property
-    def n(self) -> int:
-        return len(self.mu)
-
-    @property
-    def d(self) -> int:
-        return sum(self.mu)
-
-    @property
-    def divisible(self) -> bool:
-        """True when r | d, i.e. the count can be non-zero."""
-        return self.d % self.r == 0
-
-    @property
-    def m(self) -> int:
-        if not self.divisible:
-            raise DivisibilityError(f"r={self.r} does not divide d={self.d}")
-        return self.d // self.r
-
-    @property
-    def s(self) -> int:
-        return 2 * self.g - 2 + self.m + self.n
-
-
-def simple_ramification_count(idx: HurwitzIndex) -> int:
-    """Number of simple branch points, s = 2g - 2 + d/r + n.
-
-    Raises :class:`DivisibilityError` when r does not divide d.
-    """
-    return idx.s
 
 
 class MemoTable:
@@ -162,15 +87,7 @@ class MemoTable:
         value = self._table.get((r, g, mu))
         if value is None:
             return None
-        return Fraction(value, factorial(_edge_count(r, g, mu)))
-
-
-def _edge_count(r: int, g: int, mu: Profile) -> int | None:
-    """s for (r, g, mu), or None when r does not divide the degree."""
-    d = sum(mu)
-    if d % r:
-        return None
-    return 2 * g - 2 + d // r + len(mu)
+        return Fraction(value, factorial(edge_count(r, g, mu)))
 
 
 def _submultiset_splits(
@@ -214,7 +131,7 @@ def _known(r: int, g: int, mu: Profile, table: dict) -> int | None:
     value = table.get((r, g, mu))
     if value is not None:
         return value
-    s = _edge_count(r, g, mu)
+    s = edge_count(r, g, mu)
     if s is None or g < 0:
         return 0
     if s == 0:
@@ -232,7 +149,7 @@ def _contraction(
     child that is not yet known and expects its E sent back; it stores its
     own result in ``table`` before returning it.
     """
-    s = _edge_count(r, g, mu)
+    s = edge_count(r, g, mu)
     n = len(mu)
     # Identical parts give identical contributions, so work on the runs of
     # equal parts: (value, index of its first part, multiplicity).
@@ -263,7 +180,7 @@ def _contraction(
                     reverse=True,
                 )
             )
-            assert _edge_count(r, g, merged) == s - 1
+            assert edge_count(r, g, merged) == s - 1
             child = _known(r, g, merged, table)
             if child is None:
                 child = yield g, merged
@@ -283,19 +200,19 @@ def _contraction(
             for a in range(1, value):
                 b = value - a
                 handle = tuple(sorted(rest + (a, b), reverse=True))
-                assert _edge_count(r, g - 1, handle) in (None, s - 1)
+                assert edge_count(r, g - 1, handle) in (None, s - 1)
                 child = _known(r, g - 1, handle, table)
                 if child is None:
                     child = yield g - 1, handle
                 inner += child
                 for left, right, ways in splits:
                     mu1 = tuple(sorted((a,) + left, reverse=True))
-                    s1 = _edge_count(r, 0, mu1)
+                    s1 = edge_count(r, 0, mu1)
                     if s1 is None:
                         # r divides neither side's degree: every term is 0.
                         continue
                     mu2 = tuple(sorted((b,) + right, reverse=True))
-                    assert s1 + _edge_count(r, g, mu2) == s - 1
+                    assert s1 + edge_count(r, g, mu2) == s - 1
                     for g1 in range(g + 1):
                         lhs = _known(r, g1, mu1, table)
                         if lhs is None:
@@ -386,7 +303,7 @@ def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fractio
         memo = MemoTable()
     r, g = idx.r, idx.g
     mu = canonical_profile(idx.mu)
-    s = _edge_count(r, g, mu)
+    s = edge_count(r, g, mu)
     if s is None:
         return _ZERO
     # At s = 0 the value is the seed or 0, with nothing to evaluate.

@@ -16,10 +16,19 @@ The 1/(d! s!) normalization is pinned down by three anchor values checked
 in the test suite: the one-part base case 1/r, the two-part value 3/2 at
 (r, mu) = (2, (3, 1)), and 2/3 at (r, mu) = (1, (2, 1)).
 
-This module is deliberately independent of the edge-contraction recursion
-(it never imports :mod:`orbifold_hurwitz.core`); exact enumeration over
-S_d is the whole point.  Everything is deterministic and single-threaded;
-the per-sigma_0 subtotals would also aggregate identically in parallel.
+Conjugating every permutation of a tuple by one element of S_d maps
+tuples to tuples and keeps every condition above (Lando-Zvonkin, *Graphs
+on Surfaces and Their Applications*, App. A), and conjugation reaches
+every sigma_0 of type (r, ..., r).  So each sigma_0 starts equally many
+tuples: the enumeration pins sigma_0 to the block representative
+(0 1 ... r-1)(r ... 2r-1)... and the count multiplies by the size of its
+conjugacy class.  Before enumerating, :func:`count_monodromy_tuples`
+refuses an instance whose :func:`estimated_steps` exceed ``ORACLE_BUDGET``.
+
+This module is deliberately independent of the edge-contraction recursion:
+it imports only :mod:`orbifold_hurwitz.index`, never
+:mod:`orbifold_hurwitz.core`, and exact enumeration over S_d is the whole
+point.  Everything is deterministic and single-threaded.
 """
 
 from __future__ import annotations
@@ -30,9 +39,10 @@ from itertools import permutations, product
 from math import comb, factorial
 from typing import Iterator
 
+from .index import BudgetExceededError, HurwitzIndex
+
 __all__ = [
-    "BudgetExceededError",
-    "FactorizationInstance",
+    "ORACLE_BUDGET",
     "PermutationTuple",
     "count_monodromy_tuples",
     "count_of_cycle_type",
@@ -45,9 +55,11 @@ __all__ = [
 
 Perm = tuple[int, ...]
 
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration exceeds the configured search budget."""
+# Largest estimated_steps an instance may have; larger ones are refused
+# before any enumeration.  r = 1, mu = (6,), s = 5 (27 M steps) took
+# 3.6 s on a 2-vCPU Xeon with CPython 3.11, so a count at the budget
+# takes about 13 s.
+ORACLE_BUDGET = 10**8
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -62,21 +74,25 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths of p, sorted descending."""
+def _cycles_of(p: Perm) -> list[tuple[int, ...]]:
     seen = [False] * len(p)
-    lengths = []
+    cycles = []
     for start in range(len(p)):
         if seen[start]:
             continue
-        length = 0
+        cycle = []
         v = start
         while not seen[v]:
             seen[v] = True
+            cycle.append(v)
             v = p[v]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """Cycle lengths of p, sorted descending."""
+    return tuple(sorted(map(len, _cycles_of(p)), reverse=True))
 
 
 def transpositions(d: int) -> list[Perm]:
@@ -87,15 +103,6 @@ def transpositions(d: int) -> list[Perm]:
             p[a], p[b] = b, a
             out.append(tuple(p))
     return out
-
-
-def perms_of_cycle_type(d: int, target: tuple[int, ...]) -> list[Perm]:
-    """All permutations of S_d with the given (descending) cycle type.
-
-    Enumerates all of S_d and filters; intended for the desk scales
-    (d <= 7) this oracle is built for.
-    """
-    return [p for p in permutations(range(d)) if cycle_type(p) == target]
 
 
 def count_of_cycle_type(d: int, lengths: tuple[int, ...]) -> int:
@@ -167,15 +174,15 @@ def _is_transitive(d: int, generators: list[Perm]) -> bool:
 
 
 def estimated_steps(r: int, d: int, s: int) -> int:
-    """Cost model for the raw search: (#sigma_0) * (#transpositions)^s * (s + 1).
+    """Cost model for one pinned count: d * (C(d, 2) + (s + 1) * C(d, 2)^s).
 
-    Each candidate tuple costs about s permutation products plus one
-    transitivity sweep, all linear in d; the d factor is dropped so the
-    estimate stays a pure tuple count scale.
+    Building the C(d, 2) transpositions takes d steps each; each of the
+    C(d, 2)^s transposition sequences then takes s products, one cycle
+    type and one transitivity sweep, all linear in d.  r does not enter,
+    because sigma_0 is pinned to a single representative.
     """
-    m = d // r
-    n_sigma0 = count_of_cycle_type(d, (r,) * m)
-    return n_sigma0 * comb(d, 2) ** s * (s + 1)
+    t = comb(d, 2)
+    return d * (t + (s + 1) * t**s)
 
 
 @dataclass(frozen=True)
@@ -203,20 +210,41 @@ class PermutationTuple:
         return _is_transitive(len(self.sigma0), [self.sigma0, *self.taus])
 
 
-def _cycles_of(p: Perm) -> list[tuple[int, ...]]:
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if seen[start]:
+def _pinned_sigma0(r: int, mu: tuple[int, ...], s: int, sigma0: Perm | None) -> Perm:
+    """Validate the data and return sigma0, or the block representative
+    (0 1 ... r-1)(r ... 2r-1)... when it is None."""
+    d = sum(mu)
+    if d % r:
+        raise ValueError("r must divide the profile degree")
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    if sigma0 is None:
+        return tuple(v + 1 if (v + 1) % r else v + 1 - r for v in range(d))
+    if cycle_type(sigma0) != (r,) * (d // r):
+        raise ValueError("sigma0 has the wrong cycle type")
+    return sigma0
+
+
+def _factorizations(
+    sigma0: Perm, target: tuple[int, ...], s: int, require_transitive: bool
+) -> Iterator[tuple[tuple[Perm, ...], Perm]]:
+    """Yield (taus, sigma_inf) for every factorization starting with sigma0.
+
+    The taus run over all transposition sequences of length s; sigma_inf
+    is forced by the product relation and kept when its cycle type is
+    ``target`` and, if required, the tuple acts transitively.
+    """
+    d = len(sigma0)
+    for taus in product(transpositions(d), repeat=s):
+        p = sigma0
+        for tau in taus:
+            p = compose(p, tau)
+        sigma_inf = invert(p)
+        if cycle_type(sigma_inf) != target:
             continue
-        cycle = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cycle.append(v)
-            v = p[v]
-        cycles.append(tuple(cycle))
-    return cycles
+        if require_transitive and not _is_transitive(d, [sigma0, *taus]):
+            continue
+        yield taus, sigma_inf
 
 
 def enumerate_monodromy_tuples(
@@ -226,42 +254,21 @@ def enumerate_monodromy_tuples(
     require_transitive: bool = True,
     sigma0: Perm | None = None,
 ) -> Iterator[PermutationTuple]:
-    """Yield every labeled factorization for the given data.
+    """Yield every labeled factorization that starts with ``sigma0``.
 
-    sigma_0 runs over the permutations of cycle type (r, ..., r) (or the
-    single pinned representative), the tau_k over all transposition
-    sequences of length s; sigma_inf is forced by the product relation
-    and kept when its cycle type matches mu; each valid cycle labeling
-    is yielded separately.  The transitivity filter can be dropped for
-    diagnostics.
+    With ``sigma0=None`` that is the block representative
+    (0 1 ... r-1)(r ... 2r-1)...; the tuples of any other sigma_0 of type
+    (r, ..., r) are their conjugates, so ``raw_tuple_count`` is the number
+    yielded here times ``count_of_cycle_type(d, (r,) * m)``.  Each valid
+    cycle labeling is yielded separately.  The transitivity filter can be
+    dropped for diagnostics.
     """
-    d = sum(mu)
-    if d % r:
-        raise ValueError("r must divide the profile degree")
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    m = d // r
+    pinned = _pinned_sigma0(r, mu, s, sigma0)
     target = tuple(sorted(mu, reverse=True))
-    taus = transpositions(d)
-    if sigma0 is None:
-        sigma0_choices = perms_of_cycle_type(d, (r,) * m)
-    else:
-        if cycle_type(sigma0) != (r,) * m:
-            raise ValueError("sigma0 has the wrong cycle type")
-        sigma0_choices = [sigma0]
-    for sig in sigma0_choices:
-        for tau_tuple in product(taus, repeat=s):
-            p = sig
-            for tau in tau_tuple:
-                p = compose(p, tau)
-            sigma_inf = invert(p)
-            if cycle_type(sigma_inf) != target:
-                continue
-            if require_transitive and not _is_transitive(d, [sig, *tau_tuple]):
-                continue
-            lengths = tuple(len(c) for c in _cycles_of(sigma_inf))
-            for labels in _enumerate_label_assignments(mu, lengths):
-                yield PermutationTuple(sig, tau_tuple, sigma_inf, labels)
+    for taus, sigma_inf in _factorizations(pinned, target, s, require_transitive):
+        lengths = tuple(len(c) for c in _cycles_of(sigma_inf))
+        for labels in _enumerate_label_assignments(mu, lengths):
+            yield PermutationTuple(pinned, taus, sigma_inf, labels)
 
 
 def raw_tuple_count(
@@ -275,107 +282,41 @@ def raw_tuple_count(
 
     Counts tuples (sigma_0, tau_1, ..., tau_s) with sigma_0 of type
     (r, ..., r), tau_k transpositions, whose product inverse has cycle
-    type mu, weighted by the explicitly enumerated cycle labelings; the
-    transitivity filter can be dropped for diagnostics, and ``sigma0``
-    can pin the first permutation to a single representative.
+    type mu, weighted by the explicitly enumerated cycle labelings.  With
+    ``sigma0`` given, only the tuples starting with it count; otherwise
+    every sigma_0 of the type does, as the block representative's count
+    times the class size.  The transitivity filter can be dropped for
+    diagnostics.
     """
-    d = sum(mu)
-    if d % r:
-        raise ValueError("r must divide the profile degree")
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    m = d // r
+    pinned = _pinned_sigma0(r, mu, s, sigma0)
     target = tuple(sorted(mu, reverse=True))
     # the labeling count depends only on the cycle type, so enumerate the
     # assignments once against a type representative instead of per tuple
     labelings = len(_enumerate_label_assignments(mu, target))
-    taus = transpositions(d)
+    count = sum(1 for _ in _factorizations(pinned, target, s, require_transitive))
     if sigma0 is None:
-        sigma0_choices = perms_of_cycle_type(d, (r,) * m)
-    else:
-        if cycle_type(sigma0) != (r,) * m:
-            raise ValueError("sigma0 has the wrong cycle type")
-        sigma0_choices = [sigma0]
-    count = 0
-    for sig in sigma0_choices:
-        for tau_tuple in product(taus, repeat=s):
-            p = sig
-            for tau in tau_tuple:
-                p = compose(p, tau)
-            if cycle_type(invert(p)) != target:
-                continue
-            if require_transitive and not _is_transitive(d, [sig, *tau_tuple]):
-                continue
-            count += labelings
-    return count
+        d = len(pinned)
+        count *= count_of_cycle_type(d, (r,) * (d // r))
+    return count * labelings
 
 
-@dataclass(frozen=True)
-class FactorizationInstance:
-    """One monodromy-counting problem, with enumeration limits.
-
-    Requires r | d and s = 2g - 2 + d/r + n >= 0.  ``max_d`` and
-    ``max_s`` cap the degree and branch count up front; ``max_steps``
-    caps the estimated raw search before the enumeration starts (see
-    :func:`estimated_steps`).
-    """
-
-    r: int
-    g: int
-    mu: tuple[int, ...]
-    max_d: int = 6
-    max_s: int = 12
-    max_steps: int = 10**8
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be positive")
-        if self.g < 0:
-            raise ValueError("g must be non-negative")
-        mu = tuple(self.mu)
-        if not mu or any(p < 1 for p in mu):
-            raise ValueError("profile parts must be positive integers")
-        object.__setattr__(self, "mu", mu)
-        if self.d % self.r:
-            raise ValueError(f"r={self.r} must divide d={self.d}")
-        if self.s < 0:
-            raise ValueError("negative simple-branch count")
-        if self.d > self.max_d:
-            raise BudgetExceededError(
-                f"degree {self.d} exceeds the configured cap {self.max_d}"
-            )
-        if self.s > self.max_s:
-            raise BudgetExceededError(
-                f"branch count {self.s} exceeds the configured cap {self.max_s}"
-            )
-
-    @property
-    def d(self) -> int:
-        return sum(self.mu)
-
-    @property
-    def n(self) -> int:
-        return len(self.mu)
-
-    @property
-    def m(self) -> int:
-        return self.d // self.r
-
-    @property
-    def s(self) -> int:
-        return 2 * self.g - 2 + self.m + self.n
-
-
-def count_monodromy_tuples(inst: FactorizationInstance) -> Fraction:
+def count_monodromy_tuples(idx: HurwitzIndex) -> Fraction:
     """Orbifold Hurwitz number by exhaustive monodromy enumeration.
 
-    Refuses loudly (never counts partially) when the estimated search
-    exceeds ``inst.max_steps``.
+    Raises :class:`~orbifold_hurwitz.index.DivisibilityError` when r does
+    not divide d, and refuses with :class:`BudgetExceededError` (never
+    counting partially) when the estimated search exceeds
+    ``ORACLE_BUDGET``.
     """
-    steps = estimated_steps(inst.r, inst.d, inst.s)
-    if steps > inst.max_steps:
+    d, s = idx.d, idx.s
+    # With three or more transpositions, C(d, 2)^s alone passes the budget
+    # once s reaches its bit length; such s are refused before that power
+    # is built.
+    too_deep = d > 2 and s >= ORACLE_BUDGET.bit_length()
+    if too_deep or estimated_steps(idx.r, d, s) > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"estimated {steps} steps exceeds the budget {inst.max_steps}"
+            f"r={idx.r} g={idx.g} d={d} s={s}: the oracle's estimated steps "
+            f"exceed the budget of {ORACLE_BUDGET}"
         )
-    raw = raw_tuple_count(inst.r, inst.mu, inst.s)
-    return Fraction(raw, factorial(inst.d) * factorial(inst.s))
+    raw = raw_tuple_count(idx.r, idx.mu, s)
+    return Fraction(raw, factorial(d) * factorial(s))

@@ -55,7 +55,6 @@ __all__ = [
     "lambert_functional_residual",
     "spectral_curve_y_of_x",
     "spectral_ode_residual",
-    "w01_coefficients",
     "x_of_z",
 ]
 
@@ -667,16 +666,6 @@ def x_of_z(r: int, order: int) -> Series1:
         coeffs[1 + r * k] = Fraction((-1) ** k, factorial(k))
         k += 1
     return Series1(coeffs, order, "z")
-
-
-def w01_coefficients(r: int, order: int) -> list[tuple[int, Fraction]]:
-    """Non-zero coefficients of y(x), read as the density against dlog x.
-
-    The one-form y(x) dx/x has the same coefficient data as the curve
-    series itself; this is the labeled dump used by the CLI.
-    """
-    y = spectral_curve_y_of_x(r, order)
-    return [(d, c) for d, c in enumerate(y.coefficients) if c]
 
 
 def spectral_ode_residual(r: int, y: Series1) -> Series1:

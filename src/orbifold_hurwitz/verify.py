@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import factorial
 
 from .core import (
-    HurwitzIndex,
     MemoTable,
     arrowed_hurwitz,
     jpt_h01,
@@ -21,7 +20,8 @@ from .core import (
     partitions,
     tree_number,
 )
-from .oracle import FactorizationInstance, count_monodromy_tuples
+from .index import HurwitzIndex, edge_count
+from .oracle import count_monodromy_tuples
 from .report import VerificationReport
 from .series import (
     f01_closed_in_z,
@@ -199,10 +199,13 @@ def verify_against_oracle(
     d_max: int,
     s_max: int,
     memo: MemoTable | None = None,
-    max_steps: int = 10**8,
 ) -> VerificationReport:
     """Monodromy enumeration vs the recursion, over every admissible
-    (r, g, mu) with d <= d_max and s <= s_max."""
+    (r, g, mu) with d <= d_max and s <= s_max.
+
+    Raises :class:`~orbifold_hurwitz.index.BudgetExceededError` when a
+    case exceeds the recursion's or the oracle's budget.
+    """
     if d_max < 1 or s_max < 0:
         raise ValueError("budgets must be positive")
     memo = memo or MemoTable()
@@ -213,22 +216,14 @@ def verify_against_oracle(
     )
     for r in sorted(set(r_set)):
         for d in range(r, d_max + 1, r):
-            m = d // r
             for mu in partitions(d):
-                n = len(mu)
                 g = 0
-                while True:
-                    s = 2 * g - 2 + m + n
-                    if s > s_max:
-                        break
-                    if s >= 0:
-                        inst = FactorizationInstance(
-                            r, g, mu, max_d=d_max, max_steps=max_steps
-                        )
-                        report.check(
-                            f"r={r} g={g} mu={mu}",
-                            orbifold_hurwitz(HurwitzIndex(r, g, mu), memo),
-                            count_monodromy_tuples(inst),
-                        )
+                while edge_count(r, g, mu) <= s_max:
+                    idx = HurwitzIndex(r, g, mu)
+                    report.check(
+                        f"r={r} g={g} mu={mu}",
+                        orbifold_hurwitz(idx, memo),
+                        count_monodromy_tuples(idx),
+                    )
                     g += 1
     return report

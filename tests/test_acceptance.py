@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import factorial
 
 from orbifold_hurwitz import (
-    FactorizationInstance,
     HurwitzIndex,
     MemoTable,
     Series1,
@@ -88,9 +87,9 @@ def test_criterion_05_monodromy_oracle_equivalence():
     sweep_b = verify_against_oracle((1,), 5, 4, memo)
     # the three normalization anchors, stated explicitly
     anchors = (
-        count_monodromy_tuples(FactorizationInstance(3, 0, (3,))) == F(1, 3)
-        and count_monodromy_tuples(FactorizationInstance(2, 0, (3, 1))) == F(3, 2)
-        and count_monodromy_tuples(FactorizationInstance(1, 0, (2, 1))) == F(2, 3)
+        count_monodromy_tuples(HurwitzIndex(3, 0, (3,))) == F(1, 3)
+        and count_monodromy_tuples(HurwitzIndex(2, 0, (3, 1))) == F(3, 2)
+        and count_monodromy_tuples(HurwitzIndex(1, 0, (2, 1))) == F(2, 3)
     )
     elapsed = time.perf_counter() - start
     ok = sweep_a.passed and sweep_b.passed and anchors and elapsed < 60.0

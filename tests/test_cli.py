@@ -435,6 +435,56 @@ def test_verify_golden_digest(capsys, suite):
     assert stdout_digest(capsys, *argv) == VERIFY_GOLDEN[suite]
 
 
+# sha256 of the oracle verify JSON at the two benchmark sizes, recorded
+# while the oracle still enumerated every sigma_0 of S_d.
+ORACLE_GOLDEN = {
+    ("5", "5"): "9d9c0f92df3347fe6173b8997379e386f254d72c4baba0f66dc0c3d8c68d9531",
+    ("6", "3"): "4df8385cc69e738c2f4056bfcecf00cf467190bc2106f319ffc500492d54e72b",
+}
+
+
+@pytest.mark.parametrize("d_max, s_max", sorted(ORACLE_GOLDEN))
+def test_verify_oracle_golden_digest(capsys, d_max, s_max):
+    argv = ("verify", "--suite", "oracle", "--r", "1,2,3",
+            "--d-max", d_max, "--s-max", s_max, "--json")
+    assert stdout_digest(capsys, *argv) == ORACLE_GOLDEN[d_max, s_max]
+
+
+def test_verify_oracle_degree_seven_passes(capsys):
+    assert cli.main(["verify", "--suite", "oracle", "--d-max", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "56 cases, 0 failed" in out and out.endswith("overall: PASS\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "ode", "--r", "1", "--order", "400"),
+        ("--suite", "f02", "--r", "1", "--total-order", "120"),
+        ("--suite", "pde", "--r", "2,1", "--total-order", "120"),
+        # refused before the suites that come before ode run
+        ("--suite", "all", "--order", "400"),
+    ],
+)
+def test_verify_over_series_budget_refused_before_any_work(argv):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["verify", *argv])
+    assert time.perf_counter() - started < 1
+    assert refused.value.code == 2
+    proc = run_cli("verify", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "series budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_series_budget_admits_the_benchmark_orders():
+    # verify-series runs ode at order 80 and pde/f02 at total order 22
+    assert cli.series_cost("curve", 1, 80) == 259_281
+    assert cli.series_cost("f02", 1, 22) == 14_950
+    assert max(259_281, 14_950) <= cli.SERIES_BUDGET
+
+
 def test_verify_bad_flags_exit_2():
     proc = run_cli("verify", "--suite", "unknown")
     assert proc.returncode == 2

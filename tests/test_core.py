@@ -18,7 +18,6 @@ from orbifold_hurwitz import (
     jpt_h02,
     orbifold_hurwitz,
     partitions,
-    simple_ramification_count,
     tree_number,
     verify_cayley,
     verify_jpt,
@@ -33,22 +32,19 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
-def test_simple_ramification_count():
-    assert simple_ramification_count(HurwitzIndex(2, 0, (3, 1))) == 2
-    assert simple_ramification_count(HurwitzIndex(3, 0, (3,))) == 0
-    assert simple_ramification_count(HurwitzIndex(1, 1, (2, 1))) == 5
-
-
-def test_simple_ramification_count_divisibility_error():
-    with pytest.raises(DivisibilityError):
-        simple_ramification_count(HurwitzIndex(2, 0, (3,)))
-
-
 def test_index_derived_fields():
     idx = HurwitzIndex(2, 1, (3, 1))
     assert (idx.d, idx.n, idx.m, idx.s) == (4, 2, 2, 4)
     assert idx.divisible
     assert not HurwitzIndex(3, 0, (4,)).divisible
+    # s = 2g - 2 + d/r + n, the number of simple branch points
+    assert HurwitzIndex(2, 0, (3, 1)).s == 2
+    assert HurwitzIndex(3, 0, (3,)).s == 0
+    assert HurwitzIndex(1, 1, (2, 1)).s == 5
+    with pytest.raises(DivisibilityError):
+        HurwitzIndex(2, 0, (3,)).s
+    with pytest.raises(DivisibilityError):
+        HurwitzIndex(2, 0, (3,)).m
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,17 @@
 
 import ast
 import inspect
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+import orbifold_hurwitz.core as core_module
+import orbifold_hurwitz.index as index_module
 import orbifold_hurwitz.oracle as oracle_module
 from orbifold_hurwitz import (
     BudgetExceededError,
-    FactorizationInstance,
     HurwitzIndex,
     MemoTable,
     count_monodromy_tuples,
@@ -18,12 +21,12 @@ from orbifold_hurwitz import (
     verify_against_oracle,
 )
 from orbifold_hurwitz.oracle import (
+    ORACLE_BUDGET,
     count_of_cycle_type,
     cycle_type,
     enumerate_monodromy_tuples,
     estimated_steps,
     label_assignment_count,
-    perms_of_cycle_type,
     transpositions,
 )
 
@@ -46,11 +49,6 @@ def test_transposition_count():
     assert len(transpositions(1)) == 0
 
 
-def test_perms_of_cycle_type_matches_counting_formula():
-    for d, shape in [(3, (3,)), (4, (2, 2)), (4, (2, 1, 1)), (5, (3, 2))]:
-        assert len(perms_of_cycle_type(d, shape)) == count_of_cycle_type(d, shape)
-
-
 def test_label_assignment_count():
     assert label_assignment_count((3, 1)) == 1
     assert label_assignment_count((1, 1)) == 2
@@ -66,25 +64,25 @@ def test_label_assignment_count():
 def test_anchor_one_part_base_case():
     # the two 3-cycles, no transpositions: 2 / (3! 0!) = 1/3
     assert raw_tuple_count(3, (3,), 0) == 2
-    assert count_monodromy_tuples(FactorizationInstance(3, 0, (3,))) == F(1, 3)
+    assert count_monodromy_tuples(HurwitzIndex(3, 0, (3,))) == F(1, 3)
     for r in (1, 2, 4):
-        assert count_monodromy_tuples(FactorizationInstance(r, 0, (r,))) == F(1, r)
+        assert count_monodromy_tuples(HurwitzIndex(r, 0, (r,))) == F(1, r)
 
 
 def test_anchor_two_part_simple_cover():
     # 24 transposition triples in S_3 with transposition product, transitive
     assert raw_tuple_count(1, (2, 1), 3) == 24
-    assert count_monodromy_tuples(FactorizationInstance(1, 0, (2, 1))) == F(2, 3)
+    assert count_monodromy_tuples(HurwitzIndex(1, 0, (2, 1))) == F(2, 3)
 
 
 def test_anchor_two_part_orbifold_cover():
-    assert count_monodromy_tuples(FactorizationInstance(2, 0, (3, 1))) == F(3, 2)
+    assert count_monodromy_tuples(HurwitzIndex(2, 0, (3, 1))) == F(3, 2)
 
 
 def test_repeated_parts_need_label_weighting():
     # tau_1 = tau_2 = (12) and two labelings: 2 / (2! 2!) = 1/2
     assert raw_tuple_count(1, (1, 1), 2) == 2
-    assert count_monodromy_tuples(FactorizationInstance(1, 0, (1, 1))) == F(1, 2)
+    assert count_monodromy_tuples(HurwitzIndex(1, 0, (1, 1))) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,11 @@ def test_repeated_parts_need_label_weighting():
 def test_enumerated_tuples_satisfy_defining_relations():
     identity = (0, 1, 2, 3)
     tuples = list(enumerate_monodromy_tuples(2, (3, 1), 2))
-    assert len(tuples) == raw_tuple_count(2, (3, 1), 2) == 72
+    # sigma_0 is pinned to the block representative (0 1)(2 3); the other
+    # two sigma_0 of type (2, 2) start as many tuples each
+    assert len(tuples) == 24
+    assert all(t.sigma0 == (1, 0, 3, 2) for t in tuples)
+    assert 24 * count_of_cycle_type(4, (2, 2)) == raw_tuple_count(2, (3, 1), 2) == 72
     for t in tuples:
         assert t.product() == identity
         assert t.is_transitive()
@@ -125,11 +127,25 @@ def test_transitivity_filter_discards_disconnected_tuples():
 
 
 def test_counts_are_invariant_under_sigma0_conjugation():
-    reps = perms_of_cycle_type(3, (3,))
-    counts = {raw_tuple_count(3, (3,), 2, sigma0=p) for p in reps}
-    assert len(counts) == 1
-    total = raw_tuple_count(3, (3,), 2)
-    assert total == len(reps) * counts.pop()
+    # (d, class shape, profile, s); a profile of None marks a shape that is
+    # no sigma_0 type (r, ..., r), whose class size alone is checked
+    for d, shape, mu, s in [
+        (3, (3,), (3,), 2),
+        (4, (2, 2), (3, 1), 2),
+        (4, (2, 1, 1), None, None),
+        (5, (3, 2), None, None),
+        (6, (3, 3), (3, 2, 1), 3),
+    ]:
+        # the whole conjugacy class, found by filtering all of S_d
+        cls = [p for p in permutations(range(d)) if cycle_type(p) == shape]
+        assert len(cls) == count_of_cycle_type(d, shape)
+        if mu is None:
+            continue
+        counts = {raw_tuple_count(shape[0], mu, s, sigma0=p) for p in cls}
+        assert len(counts) == 1
+        pinned = counts.pop()
+        assert pinned > 0
+        assert raw_tuple_count(shape[0], mu, s) == len(cls) * pinned
 
 
 def test_sigma0_parameter_type_checked():
@@ -139,31 +155,47 @@ def test_sigma0_parameter_type_checked():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        FactorizationInstance(2, 0, (3,))  # r does not divide d
+        count_monodromy_tuples(HurwitzIndex(2, 0, (3,)))  # r does not divide d
     with pytest.raises(ValueError):
-        FactorizationInstance(1, 0, (0,))
+        HurwitzIndex(1, 0, (0,))
     with pytest.raises(BudgetExceededError):
-        FactorizationInstance(1, 0, (7,))  # beyond the degree cap
+        count_monodromy_tuples(HurwitzIndex(1, 0, (7,)))  # s = 6 in S_7
 
 
 def test_budget_refusal_is_loud():
-    inst = FactorizationInstance(1, 3, (6,))  # s = 11: astronomically many tuples
-    assert estimated_steps(1, 6, inst.s) > inst.max_steps
-    with pytest.raises(BudgetExceededError):
-        count_monodromy_tuples(inst)
-    with pytest.raises(BudgetExceededError):
-        FactorizationInstance(1, 10, (6,))  # s = 25 beyond the branch cap
+    idx = HurwitzIndex(1, 3, (6,))  # s = 11: astronomically many tuples
+    assert estimated_steps(1, 6, idx.s) > ORACLE_BUDGET
+    for idx in (
+        idx,
+        HurwitzIndex(1, 10, (6,)),  # s = 25
+        HurwitzIndex(1, 10**9, (3,)),  # s = 2 * 10^9: 3^s is never built
+        # s = 0 or 1, but the transposition list alone is over budget
+        HurwitzIndex(1000, 0, (1000,)),
+        HurwitzIndex(500, 0, (1000,)),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            count_monodromy_tuples(idx)
+        assert time.perf_counter() - started < 1
+
+
+def _package_imports(module):
+    """Names of the package modules that ``module`` imports."""
+    tree = ast.parse(inspect.getsource(module))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if "orbifold" in a.name}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or "orbifold" in (node.module or ""):
+                names.add(node.module or "")
+    return names
 
 
 def test_oracle_module_never_imports_the_recursion():
-    tree = ast.parse(inspect.getsource(oracle_module))
-    modules = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules.append(node.module or "")
-    assert all("core" not in m and "orbifold" not in m for m in modules)
+    assert _package_imports(oracle_module) == {"index"}
+    assert _package_imports(index_module) == set()
+    assert "oracle" not in _package_imports(core_module)
 
 
 # ---------------------------------------------------------------------------
@@ -179,5 +211,5 @@ def test_small_sweep_agrees_with_recursion():
 
 def test_genus_one_cover_of_degree_two():
     # single 2-sheeted torus cover: one tuple over 2! 3!
-    assert count_monodromy_tuples(FactorizationInstance(1, 1, (2,))) == F(1, 12)
+    assert count_monodromy_tuples(HurwitzIndex(1, 1, (2,))) == F(1, 12)
     assert orbifold_hurwitz(HurwitzIndex(1, 1, (2,)), MemoTable()) == F(1, 12)
