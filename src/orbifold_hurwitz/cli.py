@@ -9,9 +9,14 @@ Four subcommands:
 
 All numbers are printed as exact ``num/den`` strings; no output of this
 program ever contains a floating-point token.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error, including a query over
-the recursion, oracle or series budget.  A closed stdout pipe (say,
-output piped into ``head``) ends the run quietly with 141 = 128 + SIGPIPE.
+1 verification failure, 2 usage or input error, 70 (EX_SOFTWARE) an
+unexpected exception, reported on one stderr line, and 141 = 128 +
+SIGPIPE when the reader of stdout goes away (say, output piped into
+``head``); the run then ends quietly.  Integer flags check their range
+where they are declared, and :func:`main` turns every refusal the
+library raises, a ``ValueError`` or a ``BudgetExceededError`` from a
+query over the recursion, oracle or series budget, into exit 2 with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ import csv
 import json
 import os
 import sys
-from math import comb
 
 from .core import MemoTable, arrowed_hurwitz, orbifold_hurwitz, partitions
 from .index import BudgetExceededError, HurwitzIndex
 from .report import VerificationReport
 from .series import (
+    SERIES_BUDGET,
     f01_closed_in_z,
     f02_closed_in_z,
+    series_cost,
     spectral_curve_y_of_x,
 )
 from .verify import (
@@ -42,13 +48,8 @@ from .verify import (
     verify_spectral_ode,
 )
 
-SUITES = ("jpt", "cayley", "oracle", "f01", "f02", "ode", "pde", "scaling", "all")
 SERIES_KINDS = ("curve", "f01", "f02", "w01")
 TABLE_HEADER = ["r", "g", "mu", "n", "d", "s", "arrowed", "hurwitz"]
-# Largest series_cost a ``series`` dump, or an ode, pde or f02 verify suite,
-# may have.  The largest admitted dumps, curve r=1 order 143 and f02 r=1
-# order 74, took 2.4 s and 0.9 s on a 2-vCPU Xeon with CPython 3.11.
-SERIES_BUDGET = 1_500_000
 
 
 def dump_json(payload) -> str:
@@ -56,24 +57,21 @@ def dump_json(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _parse_mu(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        parser.error(f"malformed profile {text!r}: expected comma-separated integers")
-    if not parts or any(p < 1 for p in parts):
-        parser.error(f"profile parts must be positive integers, got {text!r}")
-    return parts
+def _ints(low: int, many: bool = False):
+    """An argparse ``type=``: one integer, or with ``many`` a tuple of
+    comma-separated integers, each at least ``low``."""
 
+    def parse(text: str):
+        try:
+            values = tuple(int(p) for p in (text.split(",") if many else (text,)))
+        except ValueError:
+            kind = "comma-separated integers" if many else "an integer"
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if any(v < low for v in values):
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return values if many else values[0]
 
-def _parse_r_list(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        parser.error(f"malformed r list {text!r}")
-    if not values or any(v < 1 for v in values):
-        parser.error(f"r values must be positive integers, got {text!r}")
-    return values
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +79,10 @@ def _parse_r_list(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _cmd_compute(args, parser) -> int:
-    if args.r < 1:
-        parser.error("--r must be a positive integer")
-    if args.genus < 0:
-        parser.error("--genus must be non-negative")
-    mu = _parse_mu(args.mu, parser)
-    idx = HurwitzIndex(args.r, args.genus, mu)
+def _cmd_compute(args) -> int:
+    idx = HurwitzIndex(args.r, args.genus, args.mu)
     memo = MemoTable()
-    try:
-        arrowed = arrowed_hurwitz(idx, memo)
-    except BudgetExceededError as exc:
-        parser.error(str(exc))
+    arrowed = arrowed_hurwitz(idx, memo)
     hurwitz = orbifold_hurwitz(idx, memo)
     if args.json:
         payload = {
@@ -135,20 +125,11 @@ def _table_rows(r: int, g_min: int, g_max: int, degree_max: int):
                 }
 
 
-def _cmd_table(args, parser) -> int:
-    if args.r < 1:
-        parser.error("--r must be a positive integer")
-    if args.genus < 0:
-        parser.error("--genus must be non-negative")
+def _cmd_table(args) -> int:
     g_max = args.genus if args.genus_max is None else args.genus_max
     if g_max < args.genus:
-        parser.error("--genus-max must be at least --genus")
-    if args.degree_max < 1:
-        parser.error("--degree-max must be positive")
-    try:
-        rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
-    except BudgetExceededError as exc:
-        parser.error(str(exc))
+        raise ValueError("--genus-max must be at least --genus")
+    rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
 
     def render(stream) -> None:
         if args.format == "csv":
@@ -200,36 +181,10 @@ def _series_terms(which: str, r: int, order: int):
     return "z1,z2", [(ij, c) for ij, c in f.terms() if sum(ij) <= order]
 
 
-def series_cost(which: str, r: int, order: int) -> int:
-    """Upper bound on the coefficient products behind one ``series`` dump,
-    plus the coefficients it builds.
-
-    ``curve``/``w01``: Lagrange inversion in w = x^r takes k = order // r
-    products of two k-coefficient series, k * k * (k + 1) / 2 in all, and
-    the curve has order + 1 coefficients.  ``f02``: the log of the order-n
-    divided-difference kernel, with n = max(order, 2, r), takes at most
-    C(k + 3, 3) products at degree k, C(n + 4, 4) in all, more than its
-    coefficient count.  ``f01`` is a closed form: max(order, r) + 1
-    coefficients.
-    """
-    if which in ("curve", "w01"):
-        k = order // r
-        return k * k * (k + 1) // 2 + order + 1
-    if which == "f02":
-        return comb(max(order, 2, r) + 4, 4)
-    return max(order, r) + 1
-
-
-def _cmd_series(args, parser) -> int:
-    if args.r < 1:
-        parser.error("--r must be a positive integer")
-    if args.order < 1:
-        parser.error("--order must be positive")
-    if args.which in ("curve", "w01") and args.order < args.r:
-        parser.error("--order must be at least --r for the curve series")
+def _cmd_series(args) -> int:
     cost = series_cost(args.which, args.r, args.order)
     if cost > SERIES_BUDGET:
-        parser.error(
+        raise BudgetExceededError(
             f"--which {args.which} --r {args.r} --order {args.order}: cost bound "
             f"{cost} exceeds the series budget of {SERIES_BUDGET}"
         )
@@ -257,59 +212,54 @@ def _cmd_series(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_suites(args, parser) -> list[VerificationReport]:
-    r_list = _parse_r_list(args.r, parser)
-    order = args.order
-    ode_order = 20 if order is None else order
-    reports: list[VerificationReport] = []
-    memo = MemoTable()
-    wanted = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    # The series suites are admitted before any suite runs: ode builds the
-    # curve to its order, pde and f02 the two-point energy to theirs.
+def _order(args, default: int) -> int:
+    return default if args.order is None else args.order
+
+
+# The verify suites, in the order ``all`` runs them: runner(args, r, memo),
+# whether it runs once per r, and the series cost (args, r) it is admitted
+# under, or None.  The runners look the verify_* names up in this module
+# when they are called.  verify_f01 composes by Horner's rule, ``order``
+# products of (order + 1)-term series: the r = 1 curve's count.
+VERIFY_SUITES = {
+    "jpt": (lambda a, r, m: verify_jpt(r, max(a.max_degree, r), m), True, None),
+    "cayley": (lambda a, r, m: verify_cayley(a.max, m), False, None),
+    "oracle": (lambda a, r, m: verify_against_oracle(a.r, a.d_max, a.s_max, m), False, None),
+    "f01": (lambda a, r, m: verify_f01(r, _order(a, 12), m), True,
+            lambda a, r: series_cost("curve", 1, _order(a, 12))),
+    "f02": (lambda a, r, m: verify_f02(r, a.total_order, m), True,
+            lambda a, r: series_cost("f02", r, a.total_order)),
+    "ode": (lambda a, r, m: verify_spectral_ode(r, _order(a, 20)), True,
+            lambda a, r: series_cost("curve", r, _order(a, 20))),
+    "pde": (lambda a, r, m: verify_f02_pde(r, a.total_order), True,
+            lambda a, r: series_cost("f02", r, a.total_order)),
+    "scaling": (lambda a, r, m: verify_r_scaling(r, a.m_max, m), True, None),
+}
+
+
+def _run_suites(args) -> list[VerificationReport]:
+    wanted = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    # Every series suite is admitted, for every r, before any suite runs.
     for suite in wanted:
-        if suite not in ("ode", "pde", "f02"):
-            continue
-        for r in r_list:
-            if suite == "ode":
-                cost = series_cost("curve", r, ode_order)
-            else:
-                cost = series_cost("f02", r, args.total_order)
+        cost_of = VERIFY_SUITES[suite][2]
+        for r in args.r if cost_of else ():
+            cost = cost_of(args, r)
             if cost > SERIES_BUDGET:
-                parser.error(
+                raise BudgetExceededError(
                     f"suite {suite} --r {r}: cost bound {cost} exceeds the "
                     f"series budget of {SERIES_BUDGET}"
                 )
+    memo = MemoTable()
+    reports: list[VerificationReport] = []
     for suite in wanted:
-        try:
-            if suite == "jpt":
-                for r in r_list:
-                    reports.append(verify_jpt(r, max(args.max_degree, r), memo))
-            elif suite == "cayley":
-                reports.append(verify_cayley(args.max, memo))
-            elif suite == "oracle":
-                reports.append(verify_against_oracle(r_list, args.d_max, args.s_max, memo))
-            elif suite == "f01":
-                for r in r_list:
-                    reports.append(verify_f01(r, 12 if order is None else order, memo))
-            elif suite == "f02":
-                for r in r_list:
-                    reports.append(verify_f02(r, args.total_order, memo))
-            elif suite == "ode":
-                for r in r_list:
-                    reports.append(verify_spectral_ode(r, ode_order))
-            elif suite == "pde":
-                for r in r_list:
-                    reports.append(verify_f02_pde(r, args.total_order))
-            elif suite == "scaling":
-                for r in r_list:
-                    reports.append(verify_r_scaling(r, args.m_max, memo))
-        except (ValueError, BudgetExceededError) as exc:
-            parser.error(f"suite {suite}: {exc}")
+        run, per_r, _ = VERIFY_SUITES[suite]
+        for r in args.r if per_r else (None,):
+            reports.append(run(args, r, memo))
     return reports
 
 
-def _cmd_verify(args, parser) -> int:
-    reports = _run_suites(args, parser)
+def _cmd_verify(args) -> int:
+    reports = _run_suites(args)
     all_pass = all(report.passed for report in reports)
     if args.json:
         print(dump_json([report.to_dict() for report in reports]))
@@ -332,11 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
         "series, and cross-check suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, non_negative = _ints(1), _ints(0)
 
     p_compute = sub.add_parser("compute", help="one exact count")
-    p_compute.add_argument("--r", type=int, required=True, help="orbifold order")
-    p_compute.add_argument("--genus", type=int, required=True)
-    p_compute.add_argument("--mu", type=str, required=True, help="profile, e.g. 3,1")
+    p_compute.set_defaults(run=_cmd_compute)
+    p_compute.add_argument("--r", type=positive, required=True, help="orbifold order")
+    p_compute.add_argument("--genus", type=non_negative, required=True)
+    p_compute.add_argument(
+        "--mu", type=_ints(1, many=True), required=True, help="profile, e.g. 3,1"
+    )
     p_compute.add_argument(
         "--arrowed",
         action="store_true",
@@ -345,22 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="table of counts over a range")
-    p_table.add_argument("--r", type=int, required=True)
-    p_table.add_argument("--genus", type=int, default=0, help="smallest genus")
+    p_table.set_defaults(run=_cmd_table)
+    p_table.add_argument("--r", type=positive, required=True)
+    p_table.add_argument("--genus", type=non_negative, default=0, help="smallest genus")
     p_table.add_argument("--genus-max", type=int, default=None)
-    p_table.add_argument("--degree-max", type=int, required=True)
+    p_table.add_argument("--degree-max", type=positive, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--output", type=str, default=None, help="default: stdout")
 
     p_series = sub.add_parser("series", help="series coefficient dump")
+    p_series.set_defaults(run=_cmd_series)
     p_series.add_argument("--which", choices=SERIES_KINDS, required=True)
-    p_series.add_argument("--r", type=int, required=True)
-    p_series.add_argument("--order", type=int, required=True)
+    p_series.add_argument("--r", type=positive, required=True)
+    p_series.add_argument("--order", type=positive, required=True)
     p_series.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")
-    p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--r", type=str, default="1,2,3", help="comma list of r")
+    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument("--suite", choices=(*VERIFY_SUITES, "all"), required=True)
+    p_verify.add_argument(
+        "--r", type=_ints(1, many=True), default="1,2,3", help="comma list of r"
+    )
     p_verify.add_argument("--max", type=int, default=12, help="cayley: largest d")
     p_verify.add_argument("--max-degree", type=int, default=12, help="jpt: largest d")
     p_verify.add_argument("--d-max", type=int, default=4, help="oracle: largest degree")
@@ -378,13 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute":
-        return _cmd_compute(args, parser)
-    if args.command == "table":
-        return _cmd_table(args, parser)
-    if args.command == "series":
-        return _cmd_series(args, parser)
-    return _cmd_verify(args, parser)
+    try:
+        return args.run(args)
+    except (ValueError, BudgetExceededError) as exc:
+        parser.error(str(exc))
 
 
 def entrypoint() -> None:
@@ -397,6 +353,10 @@ def entrypoint() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(141)
+    except Exception as exc:
+        # Exit 1 means a verification failed; a bug must not look like one.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(70)  # EX_SOFTWARE in sysexits.h
     sys.exit(code)
 
 

@@ -334,11 +334,15 @@ def tree_number(d: int) -> int:
         (d - 1) T_d = (1/2) * sum_{a+b=d} a b C(d, a) T_a T_b,   T_1 = 1.
 
     The quotient must be integral; a remainder raises ArithmeticError.
+    The smaller values are cached in increasing order first, so no call
+    nests more than one level deep.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if d == 1:
         return 1
+    for smaller in range(2, d):
+        tree_number(smaller)
     rhs = 0
     for a in range(1, d):
         b = d - a

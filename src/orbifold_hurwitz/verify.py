@@ -20,8 +20,8 @@ from .core import (
     partitions,
     tree_number,
 )
-from .index import HurwitzIndex, edge_count
-from .oracle import count_monodromy_tuples
+from .index import BudgetExceededError, HurwitzIndex, edge_count
+from .oracle import ORACLE_BUDGET, count_monodromy_tuples, estimated_steps
 from .report import VerificationReport
 from .series import (
     f01_closed_in_z,
@@ -194,6 +194,40 @@ def verify_f02_pde(r: int, total_order: int) -> VerificationReport:
     return report
 
 
+def oracle_cases(
+    r_set: tuple[int, ...] | list[int], d_max: int, s_max: int
+) -> tuple[list[HurwitzIndex], int]:
+    """Every admissible (r, g, mu) with d <= d_max and s <= s_max, in the
+    order the oracle suite checks them, and the run's estimated steps.
+
+    Since s >= d/r + n - 2, only d <= r (s_max + 1) and profiles of at
+    most s_max + 2 - d/r parts have cases.  Each case is charged its
+    ``estimated_steps`` plus s + 1 for the work the estimate leaves out,
+    so that the d <= 2 cases add up too.  Raises
+    :class:`~orbifold_hurwitz.index.BudgetExceededError` as soon as the
+    total passes ``ORACLE_BUDGET``, before anything is counted.
+    """
+    cases: list[HurwitzIndex] = []
+    steps = 0
+    for r in sorted(set(r_set)):
+        for d in range(r, min(d_max, r * (s_max + 1)) + 1, r):
+            for mu in partitions(d, max_parts=s_max + 2 - d // r):
+                g = 0
+                while (s := edge_count(r, g, mu)) <= s_max:
+                    # C(d, 2)^s alone passes the budget once s reaches its
+                    # bit length; such s are refused before that power is built.
+                    too_deep = d > 2 and s >= ORACLE_BUDGET.bit_length()
+                    steps += 0 if too_deep else estimated_steps(r, d, s) + s + 1
+                    if too_deep or steps > ORACLE_BUDGET:
+                        raise BudgetExceededError(
+                            f"oracle suite d_max={d_max} s_max={s_max}: the run's "
+                            f"estimated steps exceed the budget of {ORACLE_BUDGET}"
+                        )
+                    cases.append(HurwitzIndex(r, g, mu))
+                    g += 1
+    return cases, steps
+
+
 def verify_against_oracle(
     r_set: tuple[int, ...] | list[int],
     d_max: int,
@@ -203,8 +237,9 @@ def verify_against_oracle(
     """Monodromy enumeration vs the recursion, over every admissible
     (r, g, mu) with d <= d_max and s <= s_max.
 
-    Raises :class:`~orbifold_hurwitz.index.BudgetExceededError` when a
-    case exceeds the recursion's or the oracle's budget.
+    :func:`oracle_cases` lists the cases first and refuses a run over
+    the oracle's budget; a case over the recursion's budget is refused
+    too, each with :class:`~orbifold_hurwitz.index.BudgetExceededError`.
     """
     if d_max < 1 or s_max < 0:
         raise ValueError("budgets must be positive")
@@ -214,16 +249,10 @@ def verify_against_oracle(
             ",".join(str(r) for r in sorted(set(r_set))), d_max, s_max
         )
     )
-    for r in sorted(set(r_set)):
-        for d in range(r, d_max + 1, r):
-            for mu in partitions(d):
-                g = 0
-                while edge_count(r, g, mu) <= s_max:
-                    idx = HurwitzIndex(r, g, mu)
-                    report.check(
-                        f"r={r} g={g} mu={mu}",
-                        orbifold_hurwitz(idx, memo),
-                        count_monodromy_tuples(idx),
-                    )
-                    g += 1
+    for idx in oracle_cases(r_set, d_max, s_max)[0]:
+        report.check(
+            f"r={idx.r} g={idx.g} mu={idx.mu}",
+            orbifold_hurwitz(idx, memo),
+            count_monodromy_tuples(idx),
+        )
     return report

@@ -462,6 +462,9 @@ def test_verify_oracle_degree_seven_passes(capsys):
         ("--suite", "ode", "--r", "1", "--order", "400"),
         ("--suite", "f02", "--r", "1", "--total-order", "120"),
         ("--suite", "pde", "--r", "2,1", "--total-order", "120"),
+        # f01 is held to the r = 1 curve count at every r: 144 is over
+        ("--suite", "f01", "--r", "1", "--order", "400"),
+        ("--suite", "f01", "--r", "3", "--order", "144"),
         # refused before the suites that come before ode run
         ("--suite", "all", "--order", "400"),
     ],
@@ -476,6 +479,37 @@ def test_verify_over_series_budget_refused_before_any_work(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "series budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "oracle", "--r", "1", "--d-max", "5", "--s-max", "6"),
+        ("--suite", "oracle", "--r", "1", "--d-max", "8", "--s-max", "1000000000"),
+    ],
+)
+def test_verify_oracle_over_run_budget_refused_before_any_work(argv):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["verify", *argv])
+    assert time.perf_counter() - started < 1
+    assert refused.value.code == 2
+    proc = run_cli("verify", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_oracle_lists_only_degrees_with_cases(capsys):
+    started = time.perf_counter()
+    assert cli.main(["verify", "--suite", "oracle", "--r", "1", "--d-max", "70"]) == 0
+    assert time.perf_counter() - started < 2
+    wide = capsys.readouterr().out
+    assert cli.main(["verify", "--suite", "oracle", "--r", "1", "--d-max", "5"]) == 0
+    narrow = capsys.readouterr().out
+    assert "15 cases, 0 failed" in wide
+    assert wide.replace("d_max=70", "d_max=5") == narrow
 
 
 def test_verify_series_budget_admits_the_benchmark_orders():
@@ -497,3 +531,17 @@ def test_verify_failure_exits_1(monkeypatch):
     failing.check("stub case", "1", "2")
     monkeypatch.setattr(cli, "verify_cayley", lambda d_max, memo=None: failing)
     assert cli.main(["verify", "--suite", "cayley"]) == 1
+
+
+def test_unexpected_exception_exits_70_without_traceback(monkeypatch, capsys):
+    def broken(d_max, memo=None):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr(cli, "verify_cayley", broken)
+    monkeypatch.setattr(sys, "argv", ["orbifold-hurwitz", "verify", "--suite", "cayley"])
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 70
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: stub failure\n"
+    assert "Traceback" not in err

@@ -141,6 +141,18 @@ def test_tree_number_rejects_bad_input():
         tree_number(0)
 
 
+def test_tree_number_needs_no_python_stack():
+    # the smaller values are filled in increasing order, one level deep
+    tree_number.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        value = tree_number(600)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == 600**598
+
+
 def test_tree_number_non_integral_quotient_raises(monkeypatch):
     # With every binomial forced to 1, (d - 1) T_d = 1/2 at d = 2 has no
     # integral solution.  divmod catches it in every build, -O included.

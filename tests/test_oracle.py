@@ -11,15 +11,18 @@ import pytest
 import orbifold_hurwitz.core as core_module
 import orbifold_hurwitz.index as index_module
 import orbifold_hurwitz.oracle as oracle_module
+import orbifold_hurwitz.verify as verify_module
 from orbifold_hurwitz import (
     BudgetExceededError,
     HurwitzIndex,
     MemoTable,
     count_monodromy_tuples,
     orbifold_hurwitz,
+    partitions,
     raw_tuple_count,
     verify_against_oracle,
 )
+from orbifold_hurwitz.index import edge_count
 from orbifold_hurwitz.oracle import (
     ORACLE_BUDGET,
     count_of_cycle_type,
@@ -29,6 +32,7 @@ from orbifold_hurwitz.oracle import (
     label_assignment_count,
     transpositions,
 )
+from orbifold_hurwitz.verify import oracle_cases
 
 F = Fraction
 
@@ -213,3 +217,62 @@ def test_genus_one_cover_of_degree_two():
     # single 2-sheeted torus cover: one tuple over 2! 3!
     assert count_monodromy_tuples(HurwitzIndex(1, 1, (2,))) == F(1, 12)
     assert orbifold_hurwitz(HurwitzIndex(1, 1, (2,)), MemoTable()) == F(1, 12)
+
+
+# ---------------------------------------------------------------------------
+# the oracle suite as a whole run
+# ---------------------------------------------------------------------------
+
+
+def _every_case(r_set, d_max, s_max):
+    """The oracle suite's cases by walking every partition of every d."""
+    cases = []
+    for r in sorted(set(r_set)):
+        for d in range(r, d_max + 1, r):
+            for mu in partitions(d):
+                g = 0
+                while edge_count(r, g, mu) <= s_max:
+                    cases.append(HurwitzIndex(r, g, mu))
+                    g += 1
+    return cases
+
+
+@pytest.mark.parametrize(
+    "r_set, d_max, s_max, count, estimate",
+    [
+        # the two verify-oracle benchmark jobs and ``verify --suite oracle --d-max 7``
+        ((1, 2, 3), 5, 5, 45, 7_152_628),
+        ((1, 2, 3), 6, 3, 34, 596_912),
+        ((1, 2, 3), 7, 4, 56, 14_651_162),
+        ((2, 1), 8, 2, 12, 5_247),
+        ((1,), 9, 0, 1, 1),
+    ],
+)
+def test_oracle_cases_are_the_walked_cases_in_order(r_set, d_max, s_max, count, estimate):
+    cases, steps = oracle_cases(r_set, d_max, s_max)
+    assert cases == _every_case(r_set, d_max, s_max)
+    assert len(cases) == count
+    assert sum(estimated_steps(i.r, i.d, i.s) for i in cases) == estimate
+    assert steps == estimate + sum(i.s + 1 for i in cases) <= ORACLE_BUDGET
+
+
+def test_oracle_run_budget_calibration(monkeypatch):
+    # r = 1, d <= 5, s <= 6: 31 cases, each within the per-case budget,
+    # whose estimates sum to more than it; that run took about 19 s.
+    monkeypatch.setattr(verify_module, "ORACLE_BUDGET", 10**12)
+    listed, _ = oracle_cases((1,), 5, 6)
+    assert len(listed) == 31
+    assert all(estimated_steps(i.r, i.d, i.s) <= ORACLE_BUDGET for i in listed)
+    assert sum(estimated_steps(i.r, i.d, i.s) for i in listed) == 115_636_097 > ORACLE_BUDGET
+
+
+@pytest.mark.parametrize("d_max, s_max", [(5, 6), (8, 10**9), (1, 10**9)])
+def test_oracle_run_over_budget_refused_before_counting(monkeypatch, d_max, s_max):
+    def never(idx):
+        raise AssertionError("counted before the run was admitted")
+
+    monkeypatch.setattr(verify_module, "count_monodromy_tuples", never)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        verify_against_oracle((1,), d_max, s_max)
+    assert time.perf_counter() - started < 1
