@@ -8,8 +8,11 @@ a labeling of sigma_inf's cycles.  Counting tuples and dividing by d! s!
 reproduces the orbifold Hurwitz number -- with no reference to the
 edge-contraction recursion, which is what makes the agreement a real test.
 Both routes take the same HurwitzIndex.  The count is the same for every
-sigma_0 of the type, so the oracle enumerates one and multiplies by the
-number of them.
+sigma_0 of the type, so the oracle counts from one and multiplies by the
+number of them.  It counts layer by layer: after k transpositions it keeps,
+for each partial product sigma_0 tau_1 ... tau_k and orbit partition of
+the sheets, how many prefixes reach it, rather than visiting each of the
+C(d, 2)^s transposition sequences.
 """
 
 from orbifold_hurwitz import (

@@ -41,6 +41,7 @@ __all__ = [
     "MemoTable",
     "WORK_BUDGET",
     "arrowed_hurwitz",
+    "check_budget",
     "jpt_h01",
     "jpt_h02",
     "orbifold_hurwitz",
@@ -289,6 +290,23 @@ def _fits_budget(r: int, g: int, d: int, parts: int) -> bool:
     return True
 
 
+def check_budget(idx: HurwitzIndex) -> None:
+    """Raise :class:`BudgetExceededError` when the cost bound of ``idx``
+    exceeds WORK_BUDGET.
+
+    The bound grows with d and with the number of parts, so a caller with
+    many queries can check its costliest one before doing any work.
+    Queries with s = 0 (the seed or 0) and those with r not dividing d
+    (0) evaluate nothing and always pass.
+    """
+    r, g = idx.r, idx.g
+    if edge_count(r, g, idx.mu) and not _fits_budget(r, g, idx.d, idx.n + g):
+        raise BudgetExceededError(
+            f"r={r} g={g} d={idx.d} n={idx.n}: the recursion's cost bound "
+            f"exceeds the budget of {WORK_BUDGET}"
+        )
+
+
 def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fraction:
     """Arrowed Hurwitz count for ``idx``, memoized in ``memo``.
 
@@ -297,7 +315,7 @@ def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fractio
     (g, n, mu) = (0, 1, (r)) and 0 otherwise.
 
     Raises :class:`BudgetExceededError`, before evaluating anything, when
-    the query's cost bound exceeds WORK_BUDGET.
+    the query's cost bound exceeds WORK_BUDGET (see :func:`check_budget`).
     """
     if memo is None:
         memo = MemoTable()
@@ -306,12 +324,7 @@ def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fractio
     s = edge_count(r, g, mu)
     if s is None:
         return _ZERO
-    # At s = 0 the value is the seed or 0, with nothing to evaluate.
-    if s and not _fits_budget(r, g, idx.d, idx.n + g):
-        raise BudgetExceededError(
-            f"r={r} g={g} d={idx.d} n={idx.n}: the recursion's cost bound "
-            f"exceeds the budget of {WORK_BUDGET}"
-        )
+    check_budget(idx)
     return Fraction(_scaled(r, g, mu, memo._table), factorial(s))
 
 

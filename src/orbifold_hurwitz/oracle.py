@@ -1,4 +1,4 @@
-"""Brute-force Hurwitz numbers by counting monodromy factorizations.
+"""Hurwitz numbers by counting monodromy factorizations in S_d.
 
 A degree-d cover with r-fold orbifold structure over one point, labeled
 profile mu over a second, and s simple branch points corresponds to a
@@ -20,14 +20,26 @@ Conjugating every permutation of a tuple by one element of S_d maps
 tuples to tuples and keeps every condition above (Lando-Zvonkin, *Graphs
 on Surfaces and Their Applications*, App. A), and conjugation reaches
 every sigma_0 of type (r, ..., r).  So each sigma_0 starts equally many
-tuples: the enumeration pins sigma_0 to the block representative
-(0 1 ... r-1)(r ... 2r-1)... and the count multiplies by the size of its
-conjugacy class.  Before enumerating, :func:`count_monodromy_tuples`
-refuses an instance whose :func:`estimated_steps` exceed ``ORACLE_BUDGET``.
+tuples: the count pins sigma_0 to the block representative
+(0 1 ... r-1)(r ... 2r-1)... and multiplies by the size of its conjugacy
+class.
+
+:func:`raw_tuple_count` counts layer by layer instead of visiting each of
+the C(d, 2)^s transposition sequences.  After k steps it keeps one number
+per state (partial product sigma_0 tau_1 ... tau_k, orbits of the sheets
+under sigma_0, tau_1, ..., tau_k): how many prefixes reach that state.  A
+step applies every transposition and merges the two orbits it joins, and
+a state from which s - k further steps can no longer reach n cycles in one
+orbit is dropped.  The tuples left at the end are those whose product has
+cycle type mu in a single orbit.  :func:`enumerate_monodromy_tuples`
+still walks every sequence; it is the brute-force reference the tests
+hold the layered count to.  Before counting, :func:`count_monodromy_tuples`
+refuses an instance whose :func:`estimated_steps` exceed
+``ORACLE_BUDGET``.
 
 This module is deliberately independent of the edge-contraction recursion:
 it imports only :mod:`orbifold_hurwitz.index`, never
-:mod:`orbifold_hurwitz.core`, and exact enumeration over S_d is the whole
+:mod:`orbifold_hurwitz.core`, and exact counting in S_d is the whole
 point.  Everything is deterministic and single-threaded.
 """
 
@@ -51,15 +63,19 @@ __all__ = [
     "estimated_steps",
     "label_assignment_count",
     "raw_tuple_count",
+    "steps_within",
 ]
 
 Perm = tuple[int, ...]
 
-# Largest estimated_steps an instance may have; larger ones are refused
-# before any enumeration.  r = 1, mu = (6,), s = 5 (27 M steps) took
-# 3.6 s on a 2-vCPU Xeon with CPython 3.11, so a count at the budget
-# takes about 13 s.
-ORACLE_BUDGET = 10**8
+# Largest estimated_steps an instance (or a whole verify run) may have;
+# larger ones are refused before any counting.  Every instance with
+# r <= 3, d <= 12, s <= 30 that the budget of the sequence-by-sequence
+# enumeration admitted stays within it (the largest, d = 9 and s = 4,
+# estimates 15,548,760).  The estimate is a loose upper bound: the slowest
+# admitted instance found with r <= 6 and d <= 14, r = 4, g = 2,
+# mu = (7, 1), s = 6 (23 M), took 1.4 s on a 2-vCPU Xeon with CPython 3.11.
+ORACLE_BUDGET = 3 * 10**7
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -88,6 +104,17 @@ def _cycles_of(p: Perm) -> list[tuple[int, ...]]:
             v = p[v]
         cycles.append(tuple(cycle))
     return cycles
+
+
+def _cycle_labels(p: Perm) -> list[int]:
+    """Each point's smallest cycle-mate, so equal partitions label equally."""
+    labels = [-1] * len(p)
+    for start in range(len(p)):
+        v = start
+        while labels[v] < 0:
+            labels[v] = start
+            v = p[v]
+    return labels
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
@@ -173,16 +200,53 @@ def _is_transitive(d: int, generators: list[Perm]) -> bool:
     return components == 1
 
 
-def estimated_steps(r: int, d: int, s: int) -> int:
-    """Cost model for one pinned count: d * (C(d, 2) + (s + 1) * C(d, 2)^s).
+def _bell(m: int) -> int:
+    """Number of set partitions of m points, by the Bell triangle."""
+    row = [1]
+    for _ in range(m - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
 
-    Building the C(d, 2) transpositions takes d steps each; each of the
-    C(d, 2)^s transposition sequences then takes s products, one cycle
-    type and one transitivity sweep, all linear in d.  r does not enter,
-    because sigma_0 is pinned to a single representative.
+
+def estimated_steps(r: int, d: int, s: int) -> int:
+    """Cost model for one pinned layered count (see :func:`raw_tuple_count`):
+
+        d * C(d, 2) * (1 + sum_{k < s} min(C(d, 2)^k, (d!/2) * Bell(d/r))).
+
+    Building the C(d, 2) transpositions takes d steps each.  Layer k holds
+    at most C(d, 2)^k states, one per prefix, and at most (d!/2) Bell(d/r):
+    partial products of one parity times the orbit partitions coarser than
+    the d/r cycles of sigma_0.  Each state takes one step per transposition,
+    linear in d, and scanning the last layer costs no more than building
+    it did.
     """
     t = comb(d, 2)
-    return d * (t + (s + 1) * t**s)
+    cap = factorial(d) // 2 * _bell(d // r) if s else 0
+    widths, width = 1, 1
+    for k in range(s):
+        if width >= cap or t < 2:
+            # every later layer is as wide as this one
+            widths += (s - k) * min(width, cap)
+            break
+        widths += width
+        width *= t
+    return d * t * widths
+
+
+def steps_within(r: int, d: int, s: int, room: int) -> int | None:
+    """``estimated_steps(r, d, s)`` when it is at most ``room``, else None.
+
+    Every term of the estimate's sum is at least 1, so it is at least
+    d * C(d, 2) * (s + 1); an instance over ``room`` by that alone is
+    answered None at once, however large s is.
+    """
+    if d * comb(d, 2) * (s + 1) > room:
+        return None
+    steps = estimated_steps(r, d, s)
+    return steps if steps <= room else None
 
 
 @dataclass(frozen=True)
@@ -271,6 +335,71 @@ def enumerate_monodromy_tuples(
             yield PermutationTuple(pinned, taus, sigma_inf, labels)
 
 
+def _layered_count(
+    sigma0: Perm, target: tuple[int, ...], s: int, require_transitive: bool
+) -> int:
+    """Number of transposition sequences tau_1, ..., tau_s for which
+    sigma0 tau_1 ... tau_s has cycle type ``target`` and, if required,
+    sigma0 and the taus act transitively.
+
+    ``layer`` maps (partial product, orbit labels) to the number of
+    prefixes reaching it; the labels give each sheet the smallest sheet of
+    its orbit.  Without the transitivity filter every sheet starts in one
+    orbit, so the labels never change.  Each step changes the number of
+    cycles by one (a split when both sheets share a cycle, else a join)
+    and merges at most one pair of orbits, and only a join can; a move
+    after which the steps left cannot reach len(target) cycles in one
+    orbit is skipped.
+    """
+    d, n = len(sigma0), len(target)
+    moves = []
+    for tau in transpositions(d):
+        a, b = (v for v in range(d) if tau[v] != v)
+        moves.append((a, b, tau.__getitem__))
+
+    def reachable(cycles: int, orbits: int, left: int) -> bool:
+        # (left + cycles - n) / 2 of the steps left are joins, and each of
+        # the orbits - 1 merges still needed takes one
+        return abs(cycles - n) <= left and 2 * (orbits - 1) <= left + cycles - n
+
+    start = tuple(_cycle_labels(sigma0)) if require_transitive else (0,) * d
+    layer = {(sigma0, start): 1}
+    for left in range(s - 1, -1, -1):
+        if not layer:
+            break
+        nxt: dict[tuple[Perm, tuple[int, ...]], int] = {}
+        for (p, orbit), ways in layer.items():
+            cyc = _cycle_labels(p)
+            cycles = sum(1 for v, c in enumerate(cyc) if v == c)
+            orbits = sum(1 for v, o in enumerate(orbit) if v == o)
+            split = reachable(cycles + 1, orbits, left)
+            join = reachable(cycles - 1, orbits, left)
+            merge = reachable(cycles - 1, orbits - 1, left)
+            for a, b, tau in moves:
+                if cyc[a] == cyc[b]:
+                    if not split:
+                        continue
+                    after = orbit
+                elif orbit[a] == orbit[b]:
+                    if not join:
+                        continue
+                    after = orbit
+                else:
+                    if not merge:
+                        continue
+                    low, high = sorted((orbit[a], orbit[b]))
+                    after = tuple(low if o == high else o for o in orbit)
+                key = (tuple(map(tau, p)), after)
+                nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    # sigma_inf, the inverse of the product, has the product's cycle type
+    return sum(
+        ways
+        for (p, orbit), ways in layer.items()
+        if not any(orbit) and cycle_type(p) == target
+    )
+
+
 def raw_tuple_count(
     r: int,
     mu: tuple[int, ...],
@@ -293,7 +422,7 @@ def raw_tuple_count(
     # the labeling count depends only on the cycle type, so enumerate the
     # assignments once against a type representative instead of per tuple
     labelings = len(_enumerate_label_assignments(mu, target))
-    count = sum(1 for _ in _factorizations(pinned, target, s, require_transitive))
+    count = _layered_count(pinned, target, s, require_transitive)
     if sigma0 is None:
         d = len(pinned)
         count *= count_of_cycle_type(d, (r,) * (d // r))
@@ -301,19 +430,15 @@ def raw_tuple_count(
 
 
 def count_monodromy_tuples(idx: HurwitzIndex) -> Fraction:
-    """Orbifold Hurwitz number by exhaustive monodromy enumeration.
+    """Orbifold Hurwitz number by counting monodromy factorizations.
 
     Raises :class:`~orbifold_hurwitz.index.DivisibilityError` when r does
     not divide d, and refuses with :class:`BudgetExceededError` (never
-    counting partially) when the estimated search exceeds
+    counting partially) when the estimated steps exceed
     ``ORACLE_BUDGET``.
     """
     d, s = idx.d, idx.s
-    # With three or more transpositions, C(d, 2)^s alone passes the budget
-    # once s reaches its bit length; such s are refused before that power
-    # is built.
-    too_deep = d > 2 and s >= ORACLE_BUDGET.bit_length()
-    if too_deep or estimated_steps(idx.r, d, s) > ORACLE_BUDGET:
+    if steps_within(idx.r, d, s, ORACLE_BUDGET) is None:
         raise BudgetExceededError(
             f"r={idx.r} g={idx.g} d={d} s={s}: the oracle's estimated steps "
             f"exceed the budget of {ORACLE_BUDGET}"

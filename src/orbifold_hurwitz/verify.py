@@ -1,7 +1,7 @@
 """Cross-check suites tying the three computation routes together.
 
 Each suite compares two independent routes to the same numbers (recursion
-vs closed form, recursion vs monodromy enumeration, closed-form series vs
+vs closed form, recursion vs monodromy count, closed-form series vs
 count-built series, or a series identity vs the zero series) and returns
 a :class:`~orbifold_hurwitz.report.VerificationReport`.
 """
@@ -14,6 +14,7 @@ from math import factorial
 from .core import (
     MemoTable,
     arrowed_hurwitz,
+    check_budget,
     jpt_h01,
     jpt_h02,
     orbifold_hurwitz,
@@ -21,7 +22,7 @@ from .core import (
     tree_number,
 )
 from .index import BudgetExceededError, HurwitzIndex, edge_count
-from .oracle import ORACLE_BUDGET, count_monodromy_tuples, estimated_steps
+from .oracle import ORACLE_BUDGET, count_monodromy_tuples, steps_within
 from .report import VerificationReport
 from .series import (
     f01_closed_in_z,
@@ -58,6 +59,9 @@ def verify_jpt(r: int, d_max: int, memo: MemoTable | None = None) -> Verificatio
     """
     if d_max < r:
         raise ValueError("d_max must be at least r")
+    top = d_max - d_max % r
+    # the costliest query: the largest degree, with two parts if it has any
+    check_budget(HurwitzIndex(r, 0, (top - 1, 1) if top > 1 else (top,)))
     memo = memo or MemoTable()
     report = VerificationReport(f"jpt r={r} d_max={d_max}")
     for d in range(r, d_max + 1, r):
@@ -79,6 +83,7 @@ def verify_cayley(d_max: int, memo: MemoTable | None = None) -> VerificationRepo
     """Tree counts vs the closed power formula and vs the one-part recursion."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
+    check_budget(HurwitzIndex(1, 0, (d_max,)))  # the costliest query
     memo = memo or MemoTable()
     report = VerificationReport(f"cayley d_max={d_max}")
     for d in range(1, d_max + 1):
@@ -96,6 +101,7 @@ def verify_r_scaling(
     r = 1 quadratic recursion, seeded at a_1 = r."""
     if m_max < 1:
         raise ValueError("m_max must be positive")
+    check_budget(HurwitzIndex(r, 0, (r * m_max,)))  # the costliest query
     memo = memo or MemoTable()
     report = VerificationReport(f"scaling r={r} m_max={m_max}")
     a = [None] + [
@@ -214,15 +220,13 @@ def oracle_cases(
             for mu in partitions(d, max_parts=s_max + 2 - d // r):
                 g = 0
                 while (s := edge_count(r, g, mu)) <= s_max:
-                    # C(d, 2)^s alone passes the budget once s reaches its
-                    # bit length; such s are refused before that power is built.
-                    too_deep = d > 2 and s >= ORACLE_BUDGET.bit_length()
-                    steps += 0 if too_deep else estimated_steps(r, d, s) + s + 1
-                    if too_deep or steps > ORACLE_BUDGET:
+                    case = steps_within(r, d, s, ORACLE_BUDGET - steps - (s + 1))
+                    if case is None:
                         raise BudgetExceededError(
                             f"oracle suite d_max={d_max} s_max={s_max}: the run's "
                             f"estimated steps exceed the budget of {ORACLE_BUDGET}"
                         )
+                    steps += case + s + 1
                     cases.append(HurwitzIndex(r, g, mu))
                     g += 1
     return cases, steps
@@ -234,7 +238,7 @@ def verify_against_oracle(
     s_max: int,
     memo: MemoTable | None = None,
 ) -> VerificationReport:
-    """Monodromy enumeration vs the recursion, over every admissible
+    """Monodromy count vs the recursion, over every admissible
     (r, g, mu) with d <= d_max and s <= s_max.
 
     :func:`oracle_cases` lists the cases first and refuses a run over

@@ -456,6 +456,34 @@ def test_verify_oracle_degree_seven_passes(capsys):
     assert "56 cases, 0 failed" in out and out.endswith("overall: PASS\n")
 
 
+def test_verify_oracle_degree_five_six_branch_points_passes(capsys):
+    argv = ["verify", "--suite", "oracle", "--r", "1", "--d-max", "5", "--s-max", "6"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "31 cases, 0 failed" in out and out.endswith("overall: PASS\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "cayley", "--max", "3000"),
+        ("--suite", "jpt", "--max-degree", "200"),
+        ("--suite", "scaling", "--m-max", "800"),
+    ],
+)
+def test_verify_recursion_suites_refused_before_any_work(argv):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["verify", *argv])
+    assert time.perf_counter() - started < 1
+    assert refused.value.code == 2
+    proc = run_cli("verify", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -484,7 +512,7 @@ def test_verify_over_series_budget_refused_before_any_work(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--suite", "oracle", "--r", "1", "--d-max", "5", "--s-max", "6"),
+        ("--suite", "oracle", "--r", "1", "--d-max", "6", "--s-max", "8"),
         ("--suite", "oracle", "--r", "1", "--d-max", "8", "--s-max", "1000000000"),
     ],
 )

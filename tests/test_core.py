@@ -23,6 +23,7 @@ from orbifold_hurwitz import (
     verify_jpt,
     verify_r_scaling,
 )
+from orbifold_hurwitz.core import check_budget
 
 F = Fraction
 
@@ -296,6 +297,16 @@ def test_budget_refuses_before_evaluating():
     assert len(memo) == 0
     # s = 0 needs no evaluation, however large the degree
     assert arrowed_hurwitz(HurwitzIndex(10**6, 0, (10**6,)), memo) == 1
+
+
+def test_check_budget_is_the_refusal_every_query_passes():
+    check_budget(HurwitzIndex(1, 0, (707,)))
+    for idx in (HurwitzIndex(1, 0, (708,)), HurwitzIndex(1, 0, (199, 1))):
+        with pytest.raises(BudgetExceededError, match=f"d={idx.d} n={idx.n}"):
+            check_budget(idx)
+    # s = 0 and r not dividing d evaluate nothing, however large the degree
+    check_budget(HurwitzIndex(10**6, 0, (10**6,)))
+    check_budget(HurwitzIndex(2, 0, (10**6 + 1,)))
 
 
 def test_non_negativity_on_computed_range():

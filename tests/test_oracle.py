@@ -5,6 +5,7 @@ import inspect
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -30,6 +31,7 @@ from orbifold_hurwitz.oracle import (
     enumerate_monodromy_tuples,
     estimated_steps,
     label_assignment_count,
+    steps_within,
     transpositions,
 )
 from orbifold_hurwitz.verify import oracle_cases
@@ -166,6 +168,63 @@ def test_instance_validation():
         count_monodromy_tuples(HurwitzIndex(1, 0, (7,)))  # s = 6 in S_7
 
 
+# ---------------------------------------------------------------------------
+# the layered count against the brute-force enumeration
+# ---------------------------------------------------------------------------
+
+
+def _block(r, d):
+    """The block representative (0 1 ... r-1)(r ... 2r-1)... of type (r, ..., r)."""
+    return tuple(v + 1 if (v + 1) % r else v + 1 - r for v in range(d))
+
+
+@pytest.mark.parametrize("transitive", [True, False])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_layered_count_matches_brute_force(r, transitive):
+    for d in range(r, 6, r):
+        pinned = _block(r, d)
+        for mu in partitions(d):
+            for s in range(5):
+                brute = len(list(enumerate_monodromy_tuples(r, mu, s, transitive, pinned)))
+                assert raw_tuple_count(r, mu, s, transitive, sigma0=pinned) == brute, (mu, s)
+
+
+def test_layered_count_matches_brute_force_from_another_sigma0():
+    sigma0 = (4, 5, 0, 1, 2, 3)  # (0 4 2)(1 5 3), not the block representative
+    for transitive in (True, False):
+        brute = len(list(enumerate_monodromy_tuples(3, (3, 2, 1), 3, transitive, sigma0)))
+        assert raw_tuple_count(3, (3, 2, 1), 3, transitive, sigma0=sigma0) == brute > 0
+
+
+def test_layered_count_stops_at_an_empty_layer():
+    # one sheet has no transposition, so every layer after the first is empty
+    started = time.perf_counter()
+    assert raw_tuple_count(1, (1,), 10**7) == 0
+    assert time.perf_counter() - started < 1
+
+
+# ---------------------------------------------------------------------------
+# budgets
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_admitted(d, s):
+    """The budget of the sequence enumeration this count replaced."""
+    t = comb(d, 2)
+    return not (d > 2 and s >= 27) and d * (t + (s + 1) * t**s) <= 10**8
+
+
+def test_instances_the_brute_force_budget_admitted_stay_admitted():
+    admitted = 0
+    for r in (1, 2, 3):
+        for d in range(r, 13, r):
+            for s in range(31):
+                if _brute_force_admitted(d, s):
+                    admitted += 1
+                    assert steps_within(r, d, s, ORACLE_BUDGET) is not None, (r, d, s)
+    assert admitted == 213
+
+
 def test_budget_refusal_is_loud():
     idx = HurwitzIndex(1, 3, (6,))  # s = 11: astronomically many tuples
     assert estimated_steps(1, 6, idx.s) > ORACLE_BUDGET
@@ -213,6 +272,13 @@ def test_small_sweep_agrees_with_recursion():
     assert len(report.cases) > 0
 
 
+def test_degree_eight_sweep_agrees_with_recursion():
+    # 61 cases, among them the five r = 2, d = 8 ones
+    report = verify_against_oracle((1, 2, 3), 8, 4)
+    assert report.passed
+    assert len(report.cases) == 61
+
+
 def test_genus_one_cover_of_degree_two():
     # single 2-sheeted torus cover: one tuple over 2! 3!
     assert count_monodromy_tuples(HurwitzIndex(1, 1, (2,))) == F(1, 12)
@@ -241,11 +307,11 @@ def _every_case(r_set, d_max, s_max):
     "r_set, d_max, s_max, count, estimate",
     [
         # the two verify-oracle benchmark jobs and ``verify --suite oracle --d-max 7``
-        ((1, 2, 3), 5, 5, 45, 7_152_628),
-        ((1, 2, 3), 6, 3, 34, 596_912),
-        ((1, 2, 3), 7, 4, 56, 14_651_162),
-        ((2, 1), 8, 2, 12, 5_247),
-        ((1,), 9, 0, 1, 1),
+        ((1, 2, 3), 5, 5, 45, 521_524),
+        ((1, 2, 3), 6, 3, 34, 162_182),
+        ((1, 2, 3), 7, 4, 56, 1_401_326),
+        ((2, 1), 8, 2, 12, 2_029),
+        ((1,), 9, 0, 1, 0),
     ],
 )
 def test_oracle_cases_are_the_walked_cases_in_order(r_set, d_max, s_max, count, estimate):
@@ -257,16 +323,17 @@ def test_oracle_cases_are_the_walked_cases_in_order(r_set, d_max, s_max, count, 
 
 
 def test_oracle_run_budget_calibration(monkeypatch):
-    # r = 1, d <= 5, s <= 6: 31 cases, each within the per-case budget,
-    # whose estimates sum to more than it; that run took about 19 s.
+    # r = 1, d <= 6, s <= 8: 62 cases, each within the per-case budget,
+    # whose estimates sum to eight times it; that run took about 1.7 s on a
+    # 2-vCPU Xeon.
     monkeypatch.setattr(verify_module, "ORACLE_BUDGET", 10**12)
-    listed, _ = oracle_cases((1,), 5, 6)
-    assert len(listed) == 31
+    listed, _ = oracle_cases((1,), 6, 8)
+    assert len(listed) == 62
     assert all(estimated_steps(i.r, i.d, i.s) <= ORACLE_BUDGET for i in listed)
-    assert sum(estimated_steps(i.r, i.d, i.s) for i in listed) == 115_636_097 > ORACLE_BUDGET
+    assert sum(estimated_steps(i.r, i.d, i.s) for i in listed) == 240_523_535 > ORACLE_BUDGET
 
 
-@pytest.mark.parametrize("d_max, s_max", [(5, 6), (8, 10**9), (1, 10**9)])
+@pytest.mark.parametrize("d_max, s_max", [(6, 8), (8, 10**9), (1, 10**9)])
 def test_oracle_run_over_budget_refused_before_counting(monkeypatch, d_max, s_max):
     def never(idx):
         raise AssertionError("counted before the run was admitted")
