@@ -16,7 +16,9 @@ SIGPIPE when the reader of stdout goes away (say, output piped into
 where they are declared, and :func:`main` turns every refusal the
 library raises, a ``ValueError`` or a ``BudgetExceededError`` from a
 query over the recursion, oracle or series budget, into exit 2 with one
-``error:`` line.
+``error:`` line.  Each layer refuses its own over-budget queries before
+any work; a command with many queries admits its costliest one, or for
+``verify`` every series suite, before its first value.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import json
 import os
 import sys
 
-from .core import MemoTable, arrowed_hurwitz, orbifold_hurwitz, partitions
-from .index import BudgetExceededError, HurwitzIndex
+from .core import WORK_BUDGET, MemoTable, arrowed_hurwitz, check_budget, orbifold_hurwitz, partitions
+from .index import BudgetExceededError, HurwitzIndex, admit
 from .report import VerificationReport
 from .series import (
     SERIES_BUDGET,
@@ -129,6 +131,13 @@ def _cmd_table(args) -> int:
     g_max = args.genus if args.genus_max is None else args.genus_max
     if g_max < args.genus:
         raise ValueError("--genus-max must be at least --genus")
+    # The row (1, ..., 1) at the top genus and degree has the largest cost
+    # bound.  No degree over WORK_BUDGET fits, so past that many parts the
+    # check takes the row of that degree with WORK_BUDGET parts instead.
+    top = args.degree_max - args.degree_max % args.r
+    if top:
+        n = min(top, WORK_BUDGET)
+        check_budget(HurwitzIndex(args.r, g_max, (top - n + 1,) + (1,) * (n - 1)))
     rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
 
     def render(stream) -> None:
@@ -136,18 +145,8 @@ def _cmd_table(args) -> int:
             writer = csv.writer(stream)
             writer.writerow(TABLE_HEADER)
             for row in rows:
-                writer.writerow(
-                    [
-                        row["r"],
-                        row["g"],
-                        ",".join(str(p) for p in row["mu"]),
-                        row["n"],
-                        row["d"],
-                        row["s"],
-                        row["arrowed"],
-                        row["hurwitz"],
-                    ]
-                )
+                cells = dict(row, mu=",".join(str(p) for p in row["mu"]))
+                writer.writerow([cells[column] for column in TABLE_HEADER])
         else:
             stream.write(dump_json(rows) + "\n")
 
@@ -182,12 +181,6 @@ def _series_terms(which: str, r: int, order: int):
 
 
 def _cmd_series(args) -> int:
-    cost = series_cost(args.which, args.r, args.order)
-    if cost > SERIES_BUDGET:
-        raise BudgetExceededError(
-            f"--which {args.which} --r {args.r} --order {args.order}: cost bound "
-            f"{cost} exceeds the series budget of {SERIES_BUDGET}"
-        )
     variables, terms = _series_terms(args.which, args.r, args.order)
     if args.format == "json":
         payload = {
@@ -219,8 +212,8 @@ def _order(args, default: int) -> int:
 # The verify suites, in the order ``all`` runs them: runner(args, r, memo),
 # whether it runs once per r, and the series cost (args, r) it is admitted
 # under, or None.  The runners look the verify_* names up in this module
-# when they are called.  verify_f01 composes by Horner's rule, ``order``
-# products of (order + 1)-term series: the r = 1 curve's count.
+# when they are called.  verify_f01 is held to the Horner cost of
+# ``f01_from_counts``, the r = 1 curve's count (see ``series_cost``).
 VERIFY_SUITES = {
     "jpt": (lambda a, r, m: verify_jpt(r, max(a.max_degree, r), m), True, None),
     "cayley": (lambda a, r, m: verify_cayley(a.max, m), False, None),
@@ -243,12 +236,7 @@ def _run_suites(args) -> list[VerificationReport]:
     for suite in wanted:
         cost_of = VERIFY_SUITES[suite][2]
         for r in args.r if cost_of else ():
-            cost = cost_of(args, r)
-            if cost > SERIES_BUDGET:
-                raise BudgetExceededError(
-                    f"suite {suite} --r {r}: cost bound {cost} exceeds the "
-                    f"series budget of {SERIES_BUDGET}"
-                )
+            admit(f"suite {suite} --r {r}", cost_of(args, r), SERIES_BUDGET, "series")
     memo = MemoTable()
     reports: list[VerificationReport] = []
     for suite in wanted:

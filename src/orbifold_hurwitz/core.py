@@ -16,10 +16,10 @@ which counts arrowed graphs with labeled edges, so every step is plain
 boundary, where E is divided by s!.  Evaluation is demand-driven on an
 explicit stack of suspended per-state evaluations, so it visits only the
 descendants of the query and never hits Python's recursion limit.  Before
-evaluating, a query whose cost bound exceeds ``WORK_BUDGET`` is refused
-with :class:`BudgetExceededError`.  Queries are named by
-:class:`~orbifold_hurwitz.index.HurwitzIndex`, which also owns the edge
-count s; this module never imports the monodromy oracle.
+evaluating, :func:`check_budget` refuses a query whose cost bound exceeds
+``WORK_BUDGET``, through :func:`~orbifold_hurwitz.index.admit`.  Queries
+are named by :class:`~orbifold_hurwitz.index.HurwitzIndex`, which also
+owns the edge count s; this module never imports the monodromy oracle.
 
 Concurrency: all functions are pure.  ``MemoTable`` relies on CPython's
 atomic dict operations; concurrent writers always store identical values
@@ -35,7 +35,7 @@ from itertools import product
 from math import comb, factorial
 from typing import Generator, Iterable, Iterator
 
-from .index import BudgetExceededError, HurwitzIndex, Profile, canonical_profile, edge_count
+from .index import HurwitzIndex, Profile, admit, canonical_profile, edge_count
 
 __all__ = [
     "MemoTable",
@@ -51,7 +51,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-# Largest cost bound (see ``_fits_budget``) a query may have; larger ones
+# Largest cost bound (see ``_cost_bound``) a query may have; larger ones
 # are refused before any evaluation.  The slowest accepted queries, such
 # as r = 1, g = 0, mu = (1,) * 27, take about 8 s on one x86-64 core under
 # CPython 3.11; the largest bound in the r = 2, g <= 2, d <= 20 table is
@@ -261,8 +261,8 @@ def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _fits_budget(r: int, g: int, d: int, parts: int) -> bool:
-    """Whether a query's cost bound is at most WORK_BUDGET.
+def _cost_bound(r: int, g: int, d: int, parts: int) -> int | None:
+    """A query's cost bound, or None once it is known to exceed WORK_BUDGET.
 
     Every state reachable from genus g, degree d and n parts has genus at
     most g, a degree k <= d divisible by r, and at most n + g parts: a
@@ -277,34 +277,34 @@ def _fits_budget(r: int, g: int, d: int, parts: int) -> bool:
     counts come from the usual table over part sizes, abandoned as soon as
     the bound is over.
     """
-    limit = WORK_BUDGET // (d * (g + 1) ** 2)
+    scale = d * (g + 1) ** 2
     degrees = range(r, d + 1, r)
-    if len(degrees) > limit:
-        return False
+    if len(degrees) * scale > WORK_BUDGET:
+        return None
     ways = [1] + [0] * d
     for part in range(1, min(parts, d) + 1):
         for k in range(part, d + 1):
             ways[k] += ways[k - part]
-        if sum(ways[k] for k in degrees) > limit:
-            return False
-    return True
+        cost = sum(ways[k] for k in degrees) * scale
+        if cost > WORK_BUDGET:
+            return None
+    return cost
 
 
-def check_budget(idx: HurwitzIndex) -> None:
-    """Raise :class:`BudgetExceededError` when the cost bound of ``idx``
-    exceeds WORK_BUDGET.
+def check_budget(idx: HurwitzIndex) -> int:
+    """The cost bound of ``idx``; raises :class:`BudgetExceededError` when
+    it exceeds WORK_BUDGET.
 
-    The bound grows with d and with the number of parts, so a caller with
+    The bound grows with g, d and the number of parts, so a caller with
     many queries can check its costliest one before doing any work.
     Queries with s = 0 (the seed or 0) and those with r not dividing d
-    (0) evaluate nothing and always pass.
+    (0) evaluate nothing and always pass, at cost 0.
     """
     r, g = idx.r, idx.g
-    if edge_count(r, g, idx.mu) and not _fits_budget(r, g, idx.d, idx.n + g):
-        raise BudgetExceededError(
-            f"r={r} g={g} d={idx.d} n={idx.n}: the recursion's cost bound "
-            f"exceeds the budget of {WORK_BUDGET}"
-        )
+    if not edge_count(r, g, idx.mu):
+        return 0
+    what = f"r={r} g={g} d={idx.d} n={idx.n}"
+    return admit(what, _cost_bound(r, g, idx.d, idx.n + g), WORK_BUDGET, "recursion")
 
 
 def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fraction:
@@ -348,12 +348,14 @@ def tree_number(d: int) -> int:
 
     The quotient must be integral; a remainder raises ArithmeticError.
     The smaller values are cached in increasing order first, so no call
-    nests more than one level deep.
+    nests more than one level deep.  The work is held to the budget of the
+    one-part genus-0 query of degree d (see :func:`check_budget`).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if d == 1:
         return 1
+    check_budget(HurwitzIndex(1, 0, (d,)))
     for smaller in range(2, d):
         tree_number(smaller)
     rhs = 0

@@ -4,7 +4,7 @@ Both counting routes, the edge-contraction recursion in
 :mod:`orbifold_hurwitz.core` and the monodromy enumeration in
 :mod:`orbifold_hurwitz.oracle`, take a :class:`HurwitzIndex`.  This module
 imports nothing from the package, so neither route has to import the
-other to share it.
+other to share it, or to share :func:`admit`, the one budget refusal.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ __all__ = [
     "BudgetExceededError",
     "DivisibilityError",
     "HurwitzIndex",
+    "admit",
     "canonical_profile",
     "edge_count",
 ]
@@ -25,6 +26,21 @@ Profile = tuple[int, ...]
 
 class BudgetExceededError(RuntimeError):
     """A query's cost bound exceeds its budget; it is refused before any work."""
+
+
+def admit(what: str, cost: int | None, budget: int, layer: str) -> int:
+    """Return ``cost`` when it is at most ``budget``, else refuse ``what``.
+
+    Every budget check of the recursion, the oracle and the series layer
+    ends here.  ``cost`` is the planned cost, or None when the cost model
+    stopped once it was over; ``layer`` names the budget in the message.
+    """
+    if cost is not None and cost <= budget:
+        return cost
+    bound = "" if cost is None else f" {cost}"
+    raise BudgetExceededError(
+        f"{what}: cost bound{bound} exceeds the {layer} budget of {budget}"
+    )
 
 
 class DivisibilityError(ValueError):

@@ -34,8 +34,8 @@ orbit is dropped.  The tuples left at the end are those whose product has
 cycle type mu in a single orbit.  :func:`enumerate_monodromy_tuples`
 still walks every sequence; it is the brute-force reference the tests
 hold the layered count to.  Before counting, :func:`count_monodromy_tuples`
-refuses an instance whose :func:`estimated_steps` exceed
-``ORACLE_BUDGET``.
+hands :func:`~orbifold_hurwitz.index.admit` the instance's
+:func:`estimated_steps`, which refuses them over ``ORACLE_BUDGET``.
 
 This module is deliberately independent of the edge-contraction recursion:
 it imports only :mod:`orbifold_hurwitz.index`, never
@@ -45,13 +45,14 @@ point.  Everything is deterministic and single-threaded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 from typing import Iterator
 
-from .index import BudgetExceededError, HurwitzIndex
+from .index import HurwitzIndex, admit
 
 __all__ = [
     "ORACLE_BUDGET",
@@ -72,8 +73,8 @@ Perm = tuple[int, ...]
 # larger ones are refused before any counting.  Every instance with
 # r <= 3, d <= 12, s <= 30 that the budget of the sequence-by-sequence
 # enumeration admitted stays within it (the largest, d = 9 and s = 4,
-# estimates 15,548,760).  The estimate is a loose upper bound: the slowest
-# admitted instance found with r <= 6 and d <= 14, r = 4, g = 2,
+# estimates 15,549,760).  The estimate is a loose upper bound: the slowest
+# admitted instance found with r <= 6, d <= 14, s <= 30, r = 4, g = 2,
 # mu = (7, 1), s = 6 (23 M), took 1.4 s on a 2-vCPU Xeon with CPython 3.11.
 ORACLE_BUDGET = 3 * 10**7
 
@@ -90,22 +91,6 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _cycles_of(p: Perm) -> list[tuple[int, ...]]:
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        cycle = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cycle.append(v)
-            v = p[v]
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 def _cycle_labels(p: Perm) -> list[int]:
     """Each point's smallest cycle-mate, so equal partitions label equally."""
     labels = [-1] * len(p)
@@ -119,7 +104,7 @@ def _cycle_labels(p: Perm) -> list[int]:
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths of p, sorted descending."""
-    return tuple(sorted(map(len, _cycles_of(p)), reverse=True))
+    return tuple(sorted(Counter(_cycle_labels(p)).values(), reverse=True))
 
 
 def transpositions(d: int) -> list[Perm]:
@@ -212,16 +197,20 @@ def _bell(m: int) -> int:
 
 
 def estimated_steps(r: int, d: int, s: int) -> int:
-    """Cost model for one pinned layered count (see :func:`raw_tuple_count`):
+    """Cost model for one count (see :func:`count_monodromy_tuples`):
 
-        d * C(d, 2) * (1 + sum_{k < s} min(C(d, 2)^k, (d!/2) * Bell(d/r))).
+        d * C(d, 2) * (1 + sum_{k < s} min(C(d, 2)^k, (d!/2) * Bell(d/r)))
+        + 200 * (s + 1).
 
     Building the C(d, 2) transpositions takes d steps each.  Layer k holds
     at most C(d, 2)^k states, one per prefix, and at most (d!/2) Bell(d/r):
     partial products of one parity times the orbit partitions coarser than
     the d/r cycles of sigma_0.  Each state takes one step per transposition,
     linear in d, and scanning the last layer costs no more than building
-    it did.
+    it did.  The last term charges each layer's own bookkeeping and the
+    1/(d! s!) normalization, whose s! grows with s even where no state
+    survives; it admits d = 2 up to s = 148,513, which took about 1 s on a
+    2-vCPU Xeon with CPython 3.11.
     """
     t = comb(d, 2)
     cap = factorial(d) // 2 * _bell(d // r) if s else 0
@@ -233,17 +222,17 @@ def estimated_steps(r: int, d: int, s: int) -> int:
             break
         widths += width
         width *= t
-    return d * t * widths
+    return d * t * widths + 200 * (s + 1)
 
 
 def steps_within(r: int, d: int, s: int, room: int) -> int | None:
     """``estimated_steps(r, d, s)`` when it is at most ``room``, else None.
 
     Every term of the estimate's sum is at least 1, so it is at least
-    d * C(d, 2) * (s + 1); an instance over ``room`` by that alone is
-    answered None at once, however large s is.
+    (d * C(d, 2) + 200) * (s + 1); an instance over ``room`` by that alone
+    is answered None at once, however large s is.
     """
-    if d * comb(d, 2) * (s + 1) > room:
+    if (d * comb(d, 2) + 200) * (s + 1) > room:
         return None
     steps = estimated_steps(r, d, s)
     return steps if steps <= room else None
@@ -330,7 +319,8 @@ def enumerate_monodromy_tuples(
     pinned = _pinned_sigma0(r, mu, s, sigma0)
     target = tuple(sorted(mu, reverse=True))
     for taus, sigma_inf in _factorizations(pinned, target, s, require_transitive):
-        lengths = tuple(len(c) for c in _cycles_of(sigma_inf))
+        # the cycle lengths, in the order of each cycle's smallest point
+        lengths = tuple(Counter(_cycle_labels(sigma_inf)).values())
         for labels in _enumerate_label_assignments(mu, lengths):
             yield PermutationTuple(pinned, taus, sigma_inf, labels)
 
@@ -411,7 +401,7 @@ def raw_tuple_count(
 
     Counts tuples (sigma_0, tau_1, ..., tau_s) with sigma_0 of type
     (r, ..., r), tau_k transpositions, whose product inverse has cycle
-    type mu, weighted by the explicitly enumerated cycle labelings.  With
+    type mu, weighted by the :func:`label_assignment_count` labelings.  With
     ``sigma0`` given, only the tuples starting with it count; otherwise
     every sigma_0 of the type does, as the block representative's count
     times the class size.  The transitivity filter can be dropped for
@@ -419,14 +409,11 @@ def raw_tuple_count(
     """
     pinned = _pinned_sigma0(r, mu, s, sigma0)
     target = tuple(sorted(mu, reverse=True))
-    # the labeling count depends only on the cycle type, so enumerate the
-    # assignments once against a type representative instead of per tuple
-    labelings = len(_enumerate_label_assignments(mu, target))
     count = _layered_count(pinned, target, s, require_transitive)
     if sigma0 is None:
         d = len(pinned)
         count *= count_of_cycle_type(d, (r,) * (d // r))
-    return count * labelings
+    return count * label_assignment_count(mu)
 
 
 def count_monodromy_tuples(idx: HurwitzIndex) -> Fraction:
@@ -438,10 +425,7 @@ def count_monodromy_tuples(idx: HurwitzIndex) -> Fraction:
     ``ORACLE_BUDGET``.
     """
     d, s = idx.d, idx.s
-    if steps_within(idx.r, d, s, ORACLE_BUDGET) is None:
-        raise BudgetExceededError(
-            f"r={idx.r} g={idx.g} d={d} s={s}: the oracle's estimated steps "
-            f"exceed the budget of {ORACLE_BUDGET}"
-        )
+    what = f"r={idx.r} g={idx.g} d={d} s={s}"
+    admit(what, steps_within(idx.r, d, s, ORACLE_BUDGET), ORACLE_BUDGET, "oracle")
     raw = raw_tuple_count(idx.r, idx.mu, s)
     return Fraction(raw, factorial(d) * factorial(s))

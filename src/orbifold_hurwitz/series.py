@@ -30,6 +30,8 @@ generalized Lambert curve ``x^r = y exp(-r y)`` solved as a series
 ``y(x)``, the rational parametrization ``x(z) = z exp(-z^r)`` of that
 curve, and the genus-0 one- and two-point generating functions in the
 ``z`` coordinate, both as closed forms and as sums over exact counts.
+Each of these refuses a :func:`series_cost` over ``SERIES_BUDGET`` at
+entry, through :func:`~orbifold_hurwitz.index.admit`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from operator import add, mul
 from typing import Iterable
 
 from .core import HurwitzIndex, MemoTable, arrowed_hurwitz
+from .index import admit
 
 __all__ = [
     "SERIES_BUDGET",
@@ -63,9 +66,9 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Largest series_cost a series may have; the CLI refuses larger ones before
-# any work.  The largest admitted dumps, curve r=1 order 143 and f02 r=1
-# order 74, took 2.4 s and 0.9 s on a 2-vCPU Xeon with CPython 3.11.
+# Largest series_cost a series may have; larger ones are refused before any
+# work.  The largest admitted dumps, curve r=1 order 143 and f02 r=1 order
+# 74, took 2.4 s and 0.9 s on a 2-vCPU Xeon with CPython 3.11.
 SERIES_BUDGET = 1_500_000
 
 
@@ -79,7 +82,9 @@ def series_cost(which: str, r: int, order: int) -> int:
     divided-difference kernel, with n = max(order, 2, r), takes at most
     C(k + 3, 3) products at degree k, C(n + 4, 4) in all, more than its
     coefficient count.  ``f01`` is a closed form: max(order, r) + 1
-    coefficients.
+    coefficients.  Building it from counts composes by Horner's rule,
+    ``order`` products of (order + 1)-term series, which is the r = 1
+    curve's count.
     """
     if which in ("curve", "w01"):
         k = order // r
@@ -87,6 +92,11 @@ def series_cost(which: str, r: int, order: int) -> int:
     if which == "f02":
         return comb(max(order, 2, r) + 4, 4)
     return max(order, r) + 1
+
+
+def _admit(what: str, cost: int) -> None:
+    """Refuse the series ``what`` when its cost is over SERIES_BUDGET."""
+    admit(what, cost, SERIES_BUDGET, "series")
 
 
 def _frac(value) -> Fraction:
@@ -451,13 +461,10 @@ class Series2:
         if self._vars != other._vars:
             raise ValueError("variable mismatch")
 
-    def _binary_order(self, other: "Series2") -> int:
-        return min(self._order, other._order)
-
     def __add__(self, other):
         if isinstance(other, Series2):
             self._check(other)
-            n = self._binary_order(other)
+            n = min(self._order, other._order)
             data = {
                 (i, j): self._c[i][j] + other._c[i][j]
                 for i in range(n + 1)
@@ -482,7 +489,7 @@ class Series2:
     def __mul__(self, other):
         if isinstance(other, Series2):
             self._check(other)
-            n = self._binary_order(other)
+            n = min(self._order, other._order)
             a, a_den = _scaled_graded(self._graded(n))
             b, b_den = _scaled_graded(other._graded(n))
             den = a_den * b_den
@@ -645,6 +652,7 @@ def spectral_curve_y_of_x(r: int, order: int) -> Series1:
         raise ValueError("r must be positive")
     if order < r:
         raise ValueError("order must be at least r")
+    _admit(f"curve r={r} order={order}", series_cost("curve", r, order))
     k_max = order // r
     exp_ry = Series1(
         [Fraction(r**k, factorial(k)) for k in range(k_max)],
@@ -704,6 +712,7 @@ def f01_closed_in_z(r: int, order: int) -> Series1:
     (1/r) z^r - (1/2) z^(2r)."""
     if order < r:
         raise ValueError("order must be at least r")
+    _admit(f"f01 r={r} order={order}", series_cost("f01", r, order))
     coeffs = [_ZERO] * (order + 1)
     coeffs[r] = Fraction(1, r)
     if 2 * r <= order:
@@ -715,6 +724,7 @@ def f01_from_counts(
     r: int, order: int, memo: MemoTable | None = None
 ) -> Series1:
     """The one-point genus-0 energy sum_d (count(d)/d) x^d, pulled back to z."""
+    _admit(f"f01 from counts r={r} order={order}", series_cost("curve", 1, order))
     return f01_in_x(r, order, memo).compose(x_of_z(r, order))
 
 
@@ -736,6 +746,7 @@ def f02_closed_in_z(r: int, total_order: int) -> Series2:
     """
     if total_order < max(2, r):
         raise ValueError("total order must be at least max(2, r)")
+    _admit(f"f02 r={r} order={total_order}", series_cost("f02", r, total_order))
     kernel = divided_difference(x_of_z(r, total_order + 1))
     out = -kernel.log()
     out = out - Series2.monomial(1, r, 0, total_order)
@@ -750,6 +761,7 @@ def f02_from_counts(
     sum (count(mu1, mu2) / (mu1 mu2)) x(z1)^mu1 x(z2)^mu2."""
     if total_order < 2:
         raise ValueError("total order must be at least 2")
+    _admit(f"f02 from counts r={r} order={total_order}", series_cost("f02", r, total_order))
     memo = memo or MemoTable()
     n = total_order
     x = x_of_z(r, n - 1)

@@ -21,7 +21,7 @@ from .core import (
     partitions,
     tree_number,
 )
-from .index import BudgetExceededError, HurwitzIndex, edge_count
+from .index import HurwitzIndex, admit, edge_count
 from .oracle import ORACLE_BUDGET, count_monodromy_tuples, steps_within
 from .report import VerificationReport
 from .series import (
@@ -207,12 +207,13 @@ def oracle_cases(
     order the oracle suite checks them, and the run's estimated steps.
 
     Since s >= d/r + n - 2, only d <= r (s_max + 1) and profiles of at
-    most s_max + 2 - d/r parts have cases.  Each case is charged its
-    ``estimated_steps`` plus s + 1 for the work the estimate leaves out,
-    so that the d <= 2 cases add up too.  Raises
-    :class:`~orbifold_hurwitz.index.BudgetExceededError` as soon as the
-    total passes ``ORACLE_BUDGET``, before anything is counted.
+    most s_max + 2 - d/r parts have cases.  The run's estimate is the sum
+    of the cases' ``estimated_steps``; it goes through
+    :func:`~orbifold_hurwitz.index.admit` case by case, so a run over
+    ``ORACLE_BUDGET`` is refused as soon as the sum passes it, before
+    anything is counted.
     """
+    run = f"oracle suite d_max={d_max} s_max={s_max}"
     cases: list[HurwitzIndex] = []
     steps = 0
     for r in sorted(set(r_set)):
@@ -220,13 +221,9 @@ def oracle_cases(
             for mu in partitions(d, max_parts=s_max + 2 - d // r):
                 g = 0
                 while (s := edge_count(r, g, mu)) <= s_max:
-                    case = steps_within(r, d, s, ORACLE_BUDGET - steps - (s + 1))
-                    if case is None:
-                        raise BudgetExceededError(
-                            f"oracle suite d_max={d_max} s_max={s_max}: the run's "
-                            f"estimated steps exceed the budget of {ORACLE_BUDGET}"
-                        )
-                    steps += case + s + 1
+                    case = steps_within(r, d, s, ORACLE_BUDGET - steps)
+                    total = None if case is None else steps + case
+                    steps = admit(run, total, ORACLE_BUDGET, "oracle")
                     cases.append(HurwitzIndex(r, g, mu))
                     g += 1
     return cases, steps

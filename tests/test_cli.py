@@ -232,6 +232,29 @@ def test_table_over_budget_exits_2():
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("--r", "1", "--degree-max", "60"), "d=60 n=60"),
+        (("--r", "1", "--degree-max", "30", "--genus-max", "0"), "d=30 n=30"),
+        (("--r", "2", "--genus", "1", "--genus-max", "4", "--degree-max", "21"), "g=4 d=20 n=20"),
+        # no all-ones row of 10^9 parts is built to find that out
+        (("--r", "1", "--degree-max", "1000000000"), "d=1000000000 n=500000"),
+    ],
+)
+def test_table_admitted_whole_before_the_first_row(argv, refused):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as stopped:
+        cli.main(["table", *argv])
+    assert time.perf_counter() - started < 1
+    assert stopped.value.code == 2
+    proc = run_cli("table", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and refused in proc.stderr
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------

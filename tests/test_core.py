@@ -2,11 +2,14 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import orbifold_hurwitz.core as core_module
 from orbifold_hurwitz import (
     BudgetExceededError,
     DivisibilityError,
@@ -24,6 +27,7 @@ from orbifold_hurwitz import (
     verify_r_scaling,
 )
 from orbifold_hurwitz.core import check_budget
+from orbifold_hurwitz.index import admit
 
 F = Fraction
 
@@ -307,6 +311,43 @@ def test_check_budget_is_the_refusal_every_query_passes():
     # s = 0 and r not dividing d evaluate nothing, however large the degree
     check_budget(HurwitzIndex(10**6, 0, (10**6,)))
     check_budget(HurwitzIndex(2, 0, (10**6 + 1,)))
+
+
+def test_check_budget_returns_the_planned_cost():
+    # the costliest rows of the two table-sweep benchmark tables
+    assert check_budget(HurwitzIndex(1, 2, (1,) * 16)) == 131_616
+    assert check_budget(HurwitzIndex(2, 2, (1,) * 20)) == 276_660
+    assert check_budget(HurwitzIndex(10**6, 0, (10**6,))) == 0
+
+
+@pytest.mark.parametrize("d", [708, 3000, 10**6])
+def test_tree_number_refused_over_the_one_part_budget(d):
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"d={d} n=1"):
+        tree_number(d)
+    assert time.perf_counter() - started < 1
+
+
+def test_admit_is_the_one_refusal():
+    assert admit("query", 7, 7, "series") == 7
+    with pytest.raises(BudgetExceededError) as known:
+        admit("query", 8, 7, "series")
+    assert str(known.value) == "query: cost bound 8 exceeds the series budget of 7"
+    with pytest.raises(BudgetExceededError) as abandoned:
+        admit("query", None, 7, "oracle")
+    assert str(abandoned.value) == "query: cost bound exceeds the oracle budget of 7"
+
+
+def test_only_admit_builds_the_budget_error():
+    package = Path(core_module.__file__).parent
+    raising = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if "BudgetExceededError(" in path.read_text()
+    )
+    # the class statement and the one raise in ``admit``
+    assert raising == ["index.py"]
+    assert Path(package, "index.py").read_text().count("BudgetExceededError(") == 2
 
 
 def test_non_negativity_on_computed_range():

@@ -242,6 +242,23 @@ def test_budget_refusal_is_loud():
         assert time.perf_counter() - started < 1
 
 
+def test_layer_charge_bounds_the_few_sheet_instances():
+    # s = 2g + 1 at mu = (2,); the largest admitted s, 148,513, counted and
+    # normalized in about 1 s on a 2-vCPU Xeon
+    assert HurwitzIndex(1, 74_256, (2,)).s == 148_513
+    assert steps_within(1, 2, 148_513, ORACLE_BUDGET) == 29_999_828
+    assert steps_within(1, 2, 148_515, ORACLE_BUDGET) is None
+    for idx in (
+        HurwitzIndex(1, 74_257, (2,)),
+        HurwitzIndex(1, 7 * 10**6, (2,)),  # admitted before layers were charged
+        HurwitzIndex(1, 10**6, (1,)),  # one sheet: no state, but s! to build
+    ):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"s={idx.s}: cost bound"):
+            count_monodromy_tuples(idx)
+        assert time.perf_counter() - started < 1
+
+
 def _package_imports(module):
     """Names of the package modules that ``module`` imports."""
     tree = ast.parse(inspect.getsource(module))
@@ -315,11 +332,14 @@ def _every_case(r_set, d_max, s_max):
     ],
 )
 def test_oracle_cases_are_the_walked_cases_in_order(r_set, d_max, s_max, count, estimate):
+    # ``estimate`` pins the layered-state part of the run's estimate; each
+    # case adds 200 steps per layer for bookkeeping and normalization
     cases, steps = oracle_cases(r_set, d_max, s_max)
     assert cases == _every_case(r_set, d_max, s_max)
     assert len(cases) == count
-    assert sum(estimated_steps(i.r, i.d, i.s) for i in cases) == estimate
-    assert steps == estimate + sum(i.s + 1 for i in cases) <= ORACLE_BUDGET
+    layers = sum(i.s + 1 for i in cases)
+    assert steps == sum(estimated_steps(i.r, i.d, i.s) for i in cases)
+    assert steps == estimate + 200 * layers <= ORACLE_BUDGET
 
 
 def test_oracle_run_budget_calibration(monkeypatch):
@@ -330,7 +350,7 @@ def test_oracle_run_budget_calibration(monkeypatch):
     listed, _ = oracle_cases((1,), 6, 8)
     assert len(listed) == 62
     assert all(estimated_steps(i.r, i.d, i.s) <= ORACLE_BUDGET for i in listed)
-    assert sum(estimated_steps(i.r, i.d, i.s) for i in listed) == 240_523_535 > ORACLE_BUDGET
+    assert sum(estimated_steps(i.r, i.d, i.s) for i in listed) == 240_608_335 > ORACLE_BUDGET
 
 
 @pytest.mark.parametrize("d_max, s_max", [(6, 8), (8, 10**9), (1, 10**9)])

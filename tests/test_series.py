@@ -1,6 +1,7 @@
 """Series engine, Lagrange inversion, the curve, and the free energies."""
 
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbifold_hurwitz import (
+    BudgetExceededError,
     HurwitzIndex,
     MemoTable,
     Series1,
@@ -319,6 +321,35 @@ def test_f02_satisfies_pde():
         assert f02_pde_residual(r, 8).is_zero()
     assert verify_f02_pde(1, 10).passed
     assert verify_f02_pde(2, 10).passed
+
+
+# ---------------------------------------------------------------------------
+# the series layer holds itself to SERIES_BUDGET
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda memo: spectral_curve_y_of_x(1, 2000),
+        lambda memo: spectral_curve_y_of_x(10**10, 10**10),
+        lambda memo: f01_closed_in_z(1, 10**7),
+        lambda memo: f01_from_counts(1, 400, memo),
+        lambda memo: f02_closed_in_z(1, 400),
+        lambda memo: f02_from_counts(1, 400, memo),
+        lambda memo: f02_pde_residual(1, 400),
+        lambda memo: verify_spectral_ode(1, 400),
+        lambda memo: verify_f01(1, 400, memo),
+        lambda memo: verify_f02(1, 400, memo),
+    ],
+)
+def test_series_over_budget_refused_at_entry(build):
+    memo = MemoTable()
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="series budget"):
+        build(memo)
+    assert time.perf_counter() - started < 1
+    assert len(memo) == 0
 
 
 # ---------------------------------------------------------------------------
