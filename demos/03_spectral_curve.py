@@ -8,8 +8,9 @@ unique solution with c(r) = 1 is the plane curve
     x^r = y exp(-r y).
 
 Lagrange inversion in w = x^r gives the coefficients (r k)^(k-1) / k! in
-closed form; this script checks the series against the raw recursion, the
-ODE, and the curve equation itself.
+closed form, and ``spectral_curve_y_of_x`` fills the series from them, so
+the "closed" column restates the library's formula.  The independent
+checks are the raw recursion, the ODE, and the curve equation itself.
 """
 
 from fractions import Fraction

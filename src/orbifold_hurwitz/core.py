@@ -193,8 +193,8 @@ def _contraction(
     # edge labels with them).
     loop_acc = 0
     for value, start, mult in runs:
-        rest = mu[:start] + mu[start + mult :] + (value,) * (mult - 1)
-        rest = tuple(sorted(rest, reverse=True))
+        # dropping one copy of value keeps the descending order
+        rest = mu[:start] + mu[start + 1 :]
         inner = 0
         if value >= 2:
             splits = _submultiset_splits(rest)

@@ -4,7 +4,8 @@ Two carriers:
 
 * :class:`Series1`: a univariate series known through a fixed order N,
   i.e. ``c_0 + c_1 t + ... + c_N t^N + O(t^(N+1))``.
-* :class:`Series2`: a bivariate series truncated by *total* degree N.
+* :class:`Series2`: a bivariate series truncated by *total* degree N,
+  stored as its homogeneous components of degree 0..N.
 
 Coefficients are stored as ``fractions.Fraction`` tuples; there is no
 floating point and no rounding.  Instances are immutable, every operation
@@ -26,10 +27,12 @@ orders; ``compose(f, g)`` with val(g) >= 1 carries
 exact zeros; that is the caller's assertion, used for polynomials.
 
 On top of the engine: Lagrange inversion of ``x = t / f(t)``, the
-generalized Lambert curve ``x^r = y exp(-r y)`` solved as a series
-``y(x)``, the rational parametrization ``x(z) = z exp(-z^r)`` of that
-curve, and the genus-0 one- and two-point generating functions in the
-``z`` coordinate, both as closed forms and as sums over exact counts.
+generalized Lambert curve ``x^r = y exp(-r y)`` as a series ``y(x)``
+filled from its coefficient formula ``(r k)^(k-1) / k!`` (which Lagrange
+inversion yields; the tests hold the two to each other), the rational
+parametrization ``x(z) = z exp(-z^r)`` of that curve, and the genus-0
+one- and two-point generating functions in the ``z`` coordinate, both as
+closed forms and as sums over exact counts.
 Each of these refuses a :func:`series_cost` over ``SERIES_BUDGET`` at
 entry, through :func:`~orbifold_hurwitz.index.admit`.
 """
@@ -67,18 +70,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Largest series_cost a series may have; larger ones are refused before any
-# work.  The largest admitted dumps, curve r=1 order 143 and f02 r=1 order
-# 74, took 2.4 s and 0.9 s on a 2-vCPU Xeon with CPython 3.11.
+# work.  On a 2-vCPU Xeon with CPython 3.11 the largest admitted f02 dump,
+# r=1 order 74, took 0.9 s; the largest admitted curve, r=1 order 143, takes
+# about 1 ms and its ode suite 0.06 s, so the curve bound is loose.
 SERIES_BUDGET = 1_500_000
 
 
 def series_cost(which: str, r: int, order: int) -> int:
-    """Upper bound on the coefficient products behind one series, plus the
+    """Bound on the coefficient products behind one series, plus the
     coefficients it builds.
 
-    ``curve``/``w01``: Lagrange inversion in w = x^r takes k = order // r
-    products of two k-coefficient series, k * k * (k + 1) / 2 in all, and
-    the curve has order + 1 coefficients.  ``f02``: the log of the order-n
+    ``curve``/``w01``: k * k * (k + 1) / 2 + order + 1 with k = order // r.
+    The curve itself is order + 1 coefficients from a closed formula.  The
+    number bounds the ``ode`` suite's residuals, one exp and two products
+    of (order + 1)-term series, about 3/2 order^2 coefficient products,
+    from order 4 r^3 on; at r = 1 it is the Horner composition that
+    ``f01`` is held to.  ``f02``: the log of the order-n
     divided-difference kernel, with n = max(order, 2, r), takes at most
     C(k + 3, 3) products at degree k, C(n + 4, 4) in all, more than its
     coefficient count.  ``f01`` is a closed form: max(order, r) + 1
@@ -341,8 +348,6 @@ class Series1:
         if val is None:
             return Series1([self._c[0]], inner.order, inner._var)
         result_order = min(self.order * val, inner.order)
-        if result_order < 0:
-            result_order = 0
         g = inner if inner.order == result_order else Series1(
             inner._c[: result_order + 1], result_order, inner._var
         )
@@ -396,29 +401,41 @@ class Series1:
 
 
 class Series2:
-    """Bivariate power series truncated by total degree."""
+    """Bivariate power series truncated by total degree.
 
-    __slots__ = ("_c", "_order", "_vars")
+    Stored as homogeneous components: ``_c[k][i]`` is the coefficient of
+    z1^i z2^(k-i), the layout the products and solves run on.
+    """
+
+    __slots__ = ("_c", "_vars")
 
     def __init__(self, coeffs, order: int, vars: tuple[str, str] = ("z1", "z2")):
         """``coeffs`` is a mapping (i, j) -> value; entries beyond the
         total-degree truncation are rejected."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        rows = [[_ZERO] * (order - i + 1) for i in range(order + 1)]
+        comps = [[_ZERO] * (k + 1) for k in range(order + 1)]
         for (i, j), v in dict(coeffs).items():
             if i < 0 or j < 0:
                 raise ValueError("negative exponents")
             if i + j > order:
                 raise ValueError("coefficient beyond total-degree truncation")
-            rows[i][j] = _frac(v)
-        self._c = tuple(tuple(row) for row in rows)
-        self._order = order
+            comps[i + j][i] = _frac(v)
+        self._c = tuple(map(tuple, comps))
         self._vars = vars
+
+    @classmethod
+    def _of(cls, comps, vars: tuple[str, str]) -> "Series2":
+        """The series with homogeneous components ``comps`` (Fractions),
+        known through total degree len(comps) - 1."""
+        out = cls.__new__(cls)
+        out._c = tuple(map(tuple, comps))
+        out._vars = vars
+        return out
 
     @property
     def order(self) -> int:
-        return self._order
+        return len(self._c) - 1
 
     @property
     def vars(self) -> tuple[str, str]:
@@ -427,35 +444,36 @@ class Series2:
     def coefficient(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
             raise IndexError("negative exponent")
-        if i + j > self._order:
+        if i + j > self.order:
             raise IndexError(
-                f"coefficient ({i},{j}) beyond total-degree truncation {self._order}"
+                f"coefficient ({i},{j}) beyond total-degree truncation {self.order}"
             )
-        return self._c[i][j]
+        return self._c[i + j][i]
 
     def terms(self):
         """Yield ((i, j), coefficient) for the non-zero entries, sorted."""
-        for i in range(self._order + 1):
-            for j in range(self._order - i + 1):
-                if self._c[i][j]:
-                    yield (i, j), self._c[i][j]
+        n = self.order
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                if self._c[i + j][i]:
+                    yield (i, j), self._c[i + j][i]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self._c for v in row)
+        return all(v == 0 for comp in self._c for v in comp)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series2):
             return NotImplemented
-        return self._order == other._order and self._c == other._c
+        return self._c == other._c
 
     def __hash__(self):
-        return hash((self._order, self._c))
+        return hash(self._c)
 
     def __repr__(self) -> str:
         z1, z2 = self._vars
         parts = [f"{v}*{z1}^{i}*{z2}^{j}" for (i, j), v in self.terms()]
         body = " + ".join(parts) if parts else "0"
-        return f"<{body} + O(total deg {self._order + 1})>"
+        return f"<{body} + O(total deg {self.order + 1})>"
 
     def _check(self, other: "Series2") -> None:
         if self._vars != other._vars:
@@ -464,21 +482,17 @@ class Series2:
     def __add__(self, other):
         if isinstance(other, Series2):
             self._check(other)
-            n = min(self._order, other._order)
-            data = {
-                (i, j): self._c[i][j] + other._c[i][j]
-                for i in range(n + 1)
-                for j in range(n - i + 1)
-            }
-            return Series2(data, n, self._vars)
-        data = {(i, j): v for (i, j), v in self.terms()}
-        data[(0, 0)] = self._c[0][0] + _frac(other)
-        return Series2(data, self._order, self._vars)
+            # zip stops at the shorter series: the result has the smaller order
+            comps = [list(map(add, a, b)) for a, b in zip(self._c, other._c)]
+            return Series2._of(comps, self._vars)
+        comps = list(self._c)
+        comps[0] = (comps[0][0] + _frac(other),)
+        return Series2._of(comps, self._vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series2({ij: -v for ij, v in self.terms()}, self._order, self._vars)
+        return Series2._of([[-v for v in comp] for comp in self._c], self._vars)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series2) else -_frac(other))
@@ -489,11 +503,11 @@ class Series2:
     def __mul__(self, other):
         if isinstance(other, Series2):
             self._check(other)
-            n = min(self._order, other._order)
-            a, a_den = _scaled_graded(self._graded(n))
-            b, b_den = _scaled_graded(other._graded(n))
+            n = min(self.order, other.order)
+            a, a_den = _scaled_graded(self._c[: n + 1])
+            b, b_den = _scaled_graded(other._c[: n + 1])
             den = a_den * b_den
-            return Series2._from_graded(
+            return Series2._of(
                 [
                     [Fraction(v, den) for v in _graded_term(a, b, k, k)]
                     for k in range(n + 1)
@@ -501,8 +515,8 @@ class Series2:
                 self._vars,
             )
         scale = _frac(other)
-        return Series2(
-            {ij: scale * v for ij, v in self.terms()}, self._order, self._vars
+        return Series2._of(
+            [[scale * v for v in comp] for comp in self._c], self._vars
         )
 
     __rmul__ = __mul__
@@ -511,8 +525,8 @@ class Series2:
         if isinstance(other, Series2):
             return self * other.inverse()
         scale = _frac(other)
-        return Series2(
-            {ij: v / scale for ij, v in self.terms()}, self._order, self._vars
+        return Series2._of(
+            [[v / scale for v in comp] for comp in self._c], self._vars
         )
 
     def inverse(self) -> "Series2":
@@ -520,65 +534,40 @@ class Series2:
         if c00 == 0:
             raise ZeroDivisionError("series has zero constant term")
         # degree by degree: H_k = -(F_1 H_(k-1) + ... + F_k H_0) / c00
-        f = self._graded(self._order)
-        zeros = [[_ZERO] * len(comp) for comp in f]
-        solved = _graded_solve([1 / c00], f, zeros, [-c00] * len(f))
-        return Series2._from_graded(solved, self._vars)
+        zeros = [[_ZERO] * len(comp) for comp in self._c]
+        solved = _graded_solve([1 / c00], self._c, zeros, [-c00] * len(self._c))
+        return Series2._of(solved, self._vars)
 
     def log(self) -> "Series2":
         if self._c[0][0] != 1:
             raise ValueError("log needs constant term 1")
         # U = euler(log F) solves F U = euler(F); log F has H_k = U_k / k
-        n = self._order
         u = _graded_solve(
-            [_ZERO], (-self)._graded(n), self.euler()._graded(n), [1] * (n + 1)
+            [_ZERO], (-self)._c, self.euler()._c, [1] * len(self._c)
         )
-        return Series2._from_graded(
+        return Series2._of(
             [[v / k for v in comp] if k else comp for k, comp in enumerate(u)],
             self._vars,
         )
 
     def euler(self) -> "Series2":
         """Apply z1 d/dz1 + z2 d/dz2 (scales each term by its total degree)."""
-        return Series2(
-            {ij: sum(ij) * v for ij, v in self.terms()}, self._order, self._vars
+        return Series2._of(
+            [[k * v for v in comp] for k, comp in enumerate(self._c)], self._vars
         )
 
     def transposed(self) -> "Series2":
-        return Series2(
-            {(j, i): v for (i, j), v in self.terms()}, self._order, self._vars
-        )
+        return Series2._of([comp[::-1] for comp in self._c], self._vars)
 
     def is_symmetric(self) -> bool:
         return self == self.transposed()
 
     def at_z2_zero(self) -> Series1:
         """Restrict to z2 = 0; a series in z1, full to the same order."""
-        return Series1(
-            [self._c[i][0] for i in range(self._order + 1)],
-            self._order,
-            self._vars[0],
-        )
+        return Series1([comp[-1] for comp in self._c], self.order, self._vars[0])
 
     def at_z1_zero(self) -> Series1:
-        return Series1(
-            [self._c[0][j] for j in range(self._order + 1)],
-            self._order,
-            self._vars[1],
-        )
-
-    def _graded(self, n: int) -> list[list[Fraction]]:
-        """Homogeneous components 0..n; component k lists the coefficients
-        of z1^i z2^(k-i) for i = 0..k."""
-        return [[self._c[i][k - i] for i in range(k + 1)] for k in range(n + 1)]
-
-    @classmethod
-    def _from_graded(cls, comps, vars: tuple[str, str]) -> "Series2":
-        return cls(
-            {(i, k - i): v for k, comp in enumerate(comps) for i, v in enumerate(comp)},
-            len(comps) - 1,
-            vars,
-        )
+        return Series1([comp[0] for comp in self._c], self.order, self._vars[1])
 
     @classmethod
     def zero(cls, order: int, vars: tuple[str, str] = ("z1", "z2")) -> "Series2":
@@ -597,20 +586,15 @@ def divided_difference(
     """(f(z1) - f(z2)) / (z1 - z2) as a bivariate series.
 
     Uses z1^n - z2^n = (z1 - z2) * h_{n-1}(z1, z2) with h the complete
-    homogeneous sum, so the (i, j) coefficient is just the (i + j + 1)
-    coefficient of f.  The result is known through total degree
+    homogeneous sum, so every coefficient of total degree k is the
+    (k + 1) coefficient of f.  The result is known through total degree
     f.order - 1 and is symmetric by construction.
     """
     if f.order < 1:
         raise ValueError("need at least order 1 to take a divided difference")
-    n = f.order - 1
-    data = {}
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            v = f.coefficient(i + j + 1)
-            if v:
-                data[(i, j)] = v
-    return Series2(data, n, vars)
+    return Series2._of(
+        [[c] * (k + 1) for k, c in enumerate(f.coefficients[1:])], vars
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -644,25 +628,19 @@ def lagrange_invert(f: Series1, order: int) -> Series1:
 def spectral_curve_y_of_x(r: int, order: int) -> Series1:
     """Series solution y(x) of x^r = y exp(-r y) with y = x^r + higher.
 
-    Substituting w = x^r turns the curve into w = y / exp(r y), which is
-    inverted by Lagrange inversion; the x-coefficient at degree r*k is
-    (r k)^(k-1) / k!, and every degree not divisible by r carries 0.
+    Substituting w = x^r turns the curve into w = y / exp(r y), whose
+    Lagrange inversion gives the x-coefficient (r k)^(k-1) / k! at degree
+    r*k; every degree not divisible by r carries 0.  The series is filled
+    from that formula.
     """
     if r < 1:
         raise ValueError("r must be positive")
     if order < r:
         raise ValueError("order must be at least r")
     _admit(f"curve r={r} order={order}", series_cost("curve", r, order))
-    k_max = order // r
-    exp_ry = Series1(
-        [Fraction(r**k, factorial(k)) for k in range(k_max)],
-        max(k_max - 1, 0),
-        "y",
-    )
-    in_w = lagrange_invert(exp_ry, k_max)
     coeffs = [_ZERO] * (order + 1)
-    for k in range(1, k_max + 1):
-        coeffs[r * k] = in_w.coefficient(k)
+    for k in range(1, order // r + 1):
+        coeffs[r * k] = Fraction((r * k) ** (k - 1), factorial(k))
     return Series1(coeffs, order, "x")
 
 
@@ -789,13 +767,9 @@ def f02_from_counts(
                 if a:
                     for j in range(mu2, n - i + 1):
                         row[j] += a * p2[j]
-    return Series2(
-        {
-            (i, j): Fraction(v, den)
-            for i, row in enumerate(table)
-            for j, v in enumerate(row)
-        },
-        n,
+    return Series2._of(
+        [[Fraction(table[i][k - i], den) for i in range(k + 1)] for k in range(n + 1)],
+        ("z1", "z2"),
     )
 
 

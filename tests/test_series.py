@@ -242,6 +242,25 @@ def test_curve_coefficients_match_counts():
             assert y.coefficient(d) == arrowed_hurwitz(HurwitzIndex(r, 0, (d,)), memo)
 
 
+def lagrange_curve(r, order):
+    """The curve by Lagrange inversion of w = y / exp(r y) in w = x^r."""
+    k_max = order // r
+    exp_ry = Series1(
+        [F(r**k, factorial(k)) for k in range(k_max)], max(k_max - 1, 0), "y"
+    )
+    in_w = lagrange_invert(exp_ry, k_max)
+    coeffs = [F(0)] * (order + 1)
+    for k in range(1, k_max + 1):
+        coeffs[r * k] = in_w.coefficient(k)
+    return Series1(coeffs, order, "x")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_curve_formula_matches_lagrange_inversion(r):
+    for order in range(r, 40 * r + 1):
+        assert spectral_curve_y_of_x(r, order) == lagrange_curve(r, order)
+
+
 def test_x_of_z_expansions():
     assert x_of_z(2, 5).coefficients == (0, 1, 0, -1, 0, F(1, 2))
     assert x_of_z(1, 3).coefficients == (0, 1, -1, F(1, 2))
@@ -537,3 +556,65 @@ def test_series2_inverse_matches_power_sum(f, c00):
 @given(series2(constant=F(1)))
 def test_series2_log_matches_power_sum(f):
     assert f.log() == ref_log2(f)
+
+
+# ---------------------------------------------------------------------------
+# Series2 against coefficient-by-coefficient loops
+# ---------------------------------------------------------------------------
+
+
+def coeffs2(a):
+    """Every coefficient of ``a`` within its truncation, by (i, j)."""
+    n = a.order
+    return {
+        (i, j): a.coefficient(i, j) for i in range(n + 1) for j in range(n - i + 1)
+    }
+
+
+@reference
+@given(series2(), series2())
+def test_series2_sum_and_difference_loop(a, b):
+    n = min(a.order, b.order)
+    ca, cb = coeffs2(a), coeffs2(b)
+    kept = [ij for ij in ca if sum(ij) <= n]
+    assert (a + b).order == (a - b).order == n
+    assert coeffs2(a + b) == {ij: ca[ij] + cb[ij] for ij in kept}
+    assert coeffs2(a - b) == {ij: ca[ij] - cb[ij] for ij in kept}
+    assert coeffs2(-a) == {ij: -v for ij, v in ca.items()}
+
+
+@reference
+@given(series2(), coeff, nonzero)
+def test_series2_scalar_operations_loop(a, c, q):
+    ca = coeffs2(a)
+    assert coeffs2(a * c) == coeffs2(c * a) == {ij: c * v for ij, v in ca.items()}
+    assert coeffs2(a / q) == {ij: v / q for ij, v in ca.items()}
+    shifted = dict(ca)
+    shifted[0, 0] += c
+    assert coeffs2(a + c) == coeffs2(c + a) == shifted
+    assert coeffs2(c - a) == {ij: (c if ij == (0, 0) else 0) - v for ij, v in ca.items()}
+
+
+@reference
+@given(series2())
+def test_series2_euler_transpose_and_restrictions_loop(a):
+    n, ca = a.order, coeffs2(a)
+    assert coeffs2(a.euler()) == {(i, j): (i + j) * v for (i, j), v in ca.items()}
+    assert coeffs2(a.transposed()) == {(j, i): v for (i, j), v in ca.items()}
+    assert a.is_symmetric() == all(v == ca[j, i] for (i, j), v in ca.items())
+    assert a.at_z2_zero() == Series1([ca[i, 0] for i in range(n + 1)], n, "z1")
+    assert a.at_z1_zero() == Series1([ca[0, j] for j in range(n + 1)], n, "z2")
+
+
+@reference
+@given(series2(), series2())
+def test_series2_terms_equality_and_hash_loop(a, b):
+    ca = coeffs2(a)
+    assert list(a.terms()) == sorted((ij, v) for ij, v in ca.items() if v)
+    assert a.is_zero() == (not any(ca.values()))
+    rebuilt = Series2(dict(a.terms()), a.order)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    same = a.order == b.order and ca == coeffs2(b)
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
