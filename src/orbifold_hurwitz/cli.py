@@ -18,7 +18,7 @@ library raises, a ``ValueError`` or a ``BudgetExceededError`` from a
 query over the recursion, oracle or series budget, into exit 2 with one
 ``error:`` line.  Each layer refuses its own over-budget queries before
 any work; a command with many queries admits its costliest one, or for
-``verify`` every series suite, before its first value.
+``verify`` every suite, before its first value.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import os
 import sys
 
+from . import verify
 from .core import WORK_BUDGET, MemoTable, arrowed_hurwitz, check_budget, orbifold_hurwitz, partitions
 from .index import BudgetExceededError, HurwitzIndex, admit
 from .report import VerificationReport
@@ -209,34 +210,46 @@ def _order(args, default: int) -> int:
     return default if args.order is None else args.order
 
 
+def _series(suite: str, r: int, cost: int) -> None:
+    admit(f"suite {suite} --r {r}", cost, SERIES_BUDGET, "series")
+
+
 # The verify suites, in the order ``all`` runs them: runner(args, r, memo),
-# whether it runs once per r, and the series cost (args, r) it is admitted
-# under, or None.  The runners look the verify_* names up in this module
-# when they are called.  verify_f01 is held to the Horner cost of
-# ``f01_from_counts``, the r = 1 curve's count (see ``series_cost``).
+# whether it runs once per r, and check(args, r), which refuses the suite
+# up front: its costliest recursion query, its oracle run, or its series
+# cost.  The runners look the verify_* names up in this module when they
+# are called.  The checks reach verify's other functions through the
+# module: perfbench/spans.py takes every function imported by name from
+# verify for a suite that returns a report.  verify_f01 is held to the
+# Horner cost of ``f01_from_counts``, the r = 1 curve's count (see
+# ``series_cost``).
 VERIFY_SUITES = {
-    "jpt": (lambda a, r, m: verify_jpt(r, max(a.max_degree, r), m), True, None),
-    "cayley": (lambda a, r, m: verify_cayley(a.max, m), False, None),
-    "oracle": (lambda a, r, m: verify_against_oracle(a.r, a.d_max, a.s_max, m), False, None),
+    "jpt": (lambda a, r, m: verify_jpt(r, max(a.max_degree, r), m), True,
+            lambda a, r: check_budget(verify.jpt_costliest(r, max(a.max_degree, r)))),
+    "cayley": (lambda a, r, m: verify_cayley(a.max, m), False,
+               lambda a, r: check_budget(verify.cayley_costliest(a.max))),
+    "oracle": (lambda a, r, m: verify_against_oracle(a.r, a.d_max, a.s_max, m), False,
+               lambda a, r: verify.oracle_cases(a.r, a.d_max, a.s_max)),
     "f01": (lambda a, r, m: verify_f01(r, _order(a, 12), m), True,
-            lambda a, r: series_cost("curve", 1, _order(a, 12))),
+            lambda a, r: _series("f01", r, series_cost("curve", 1, _order(a, 12)))),
     "f02": (lambda a, r, m: verify_f02(r, a.total_order, m), True,
-            lambda a, r: series_cost("f02", r, a.total_order)),
+            lambda a, r: _series("f02", r, series_cost("f02", r, a.total_order))),
     "ode": (lambda a, r, m: verify_spectral_ode(r, _order(a, 20)), True,
-            lambda a, r: series_cost("curve", r, _order(a, 20))),
+            lambda a, r: _series("ode", r, series_cost("curve", r, _order(a, 20)))),
     "pde": (lambda a, r, m: verify_f02_pde(r, a.total_order), True,
-            lambda a, r: series_cost("f02", r, a.total_order)),
-    "scaling": (lambda a, r, m: verify_r_scaling(r, a.m_max, m), True, None),
+            lambda a, r: _series("pde", r, series_cost("f02", r, a.total_order))),
+    "scaling": (lambda a, r, m: verify_r_scaling(r, a.m_max, m), True,
+                lambda a, r: check_budget(verify.scaling_costliest(r, a.m_max))),
 }
 
 
 def _run_suites(args) -> list[VerificationReport]:
     wanted = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    # Every series suite is admitted, for every r, before any suite runs.
+    # Every suite is admitted, for every r, before any suite runs.
     for suite in wanted:
-        cost_of = VERIFY_SUITES[suite][2]
-        for r in args.r if cost_of else ():
-            admit(f"suite {suite} --r {r}", cost_of(args, r), SERIES_BUDGET, "series")
+        _, per_r, check = VERIFY_SUITES[suite]
+        for r in args.r if per_r else (None,):
+            check(args, r)
     memo = MemoTable()
     reports: list[VerificationReport] = []
     for suite in wanted:
@@ -308,15 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--r", type=_ints(1, many=True), default="1,2,3", help="comma list of r"
     )
-    p_verify.add_argument("--max", type=int, default=12, help="cayley: largest d")
-    p_verify.add_argument("--max-degree", type=int, default=12, help="jpt: largest d")
-    p_verify.add_argument("--d-max", type=int, default=4, help="oracle: largest degree")
-    p_verify.add_argument("--s-max", type=int, default=4, help="oracle: most branch points")
+    p_verify.add_argument("--max", type=positive, default=12, help="cayley: largest d")
+    p_verify.add_argument("--max-degree", type=positive, default=12, help="jpt: largest d")
+    p_verify.add_argument("--d-max", type=positive, default=4, help="oracle: largest degree")
     p_verify.add_argument(
-        "--order", type=int, default=None, help="ode/f01 order (defaults 20/12)"
+        "--s-max", type=non_negative, default=4, help="oracle: most branch points"
     )
-    p_verify.add_argument("--total-order", type=int, default=10, help="f02/pde order")
-    p_verify.add_argument("--m-max", type=int, default=6, help="scaling: largest m")
+    p_verify.add_argument(
+        "--order", type=positive, default=None, help="ode/f01 order (defaults 20/12)"
+    )
+    p_verify.add_argument("--total-order", type=positive, default=10, help="f02/pde order")
+    p_verify.add_argument("--m-max", type=positive, default=6, help="scaling: largest m")
     p_verify.add_argument("--json", action="store_true")
 
     return parser

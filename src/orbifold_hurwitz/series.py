@@ -1,24 +1,26 @@
 """Truncated power series over exact rationals, and the mirror-curve data.
 
-Two carriers:
+Two carriers, one layout:
 
 * :class:`Series1`: a univariate series known through a fixed order N,
   i.e. ``c_0 + c_1 t + ... + c_N t^N + O(t^(N+1))``.
-* :class:`Series2`: a bivariate series truncated by *total* degree N,
-  stored as its homogeneous components of degree 0..N.
+* :class:`Series2`: a bivariate series truncated by *total* degree N.
 
-Coefficients are stored as ``fractions.Fraction`` tuples; there is no
-floating point and no rounding.  Instances are immutable, every operation
-returns a new series, so concurrent use is safe.
+Both are stored as their homogeneous components of degree 0..N, tuples of
+``fractions.Fraction`` (one coefficient per degree for ``Series1``), and
+share one implementation of every operation except the product: sums,
+scalar multiples, ``inverse``, ``log`` and the Euler operator.  There is
+no floating point and no rounding.  Instances are immutable, every
+operation returns a new series, so concurrent use is safe.
 
 Arithmetic runs on plain ``int``.  A product scales each operand to int
 numerators over one common denominator, convolves the ints, and builds
-one ``Fraction`` per output coefficient.  ``inverse``, ``log`` and ``exp``
-are one-pass recurrences (Knuth, TAOCP vol. 2, 4.7): coefficient by
-coefficient for ``Series1``, homogeneous component by component for
-``Series2``, with the part found so far kept as int numerators over its
-common denominator, so each step is integer convolutions plus one
-``Fraction`` per new coefficient.
+one ``Fraction`` per output coefficient; that kernel is flat for
+``Series1`` and by degree for ``Series2``.  ``inverse``, ``log`` and
+``exp`` are one-pass recurrences (Knuth, TAOCP vol. 2, 4.7), homogeneous
+component by component, with the part found so far kept as int numerators
+over its common denominator, so each step is integer convolutions plus
+one ``Fraction`` per new coefficient.
 
 Truncation bookkeeping: binary operations carry the minimum of the input
 orders; ``compose(f, g)`` with val(g) >= 1 carries
@@ -184,10 +186,115 @@ def _graded_solve(first, weights, offsets, divisors) -> list[list[Fraction]]:
     return solved
 
 
-class Series1:
+class _Graded:
+    """What both carriers share: ``_c[k]`` is the tuple of coefficients of
+    total degree k (one for a :class:`Series1`, k + 1 for a
+    :class:`Series2`), known through degree len(_c) - 1, and ``_v`` names
+    the variable(s).  Every operation but the product runs on those
+    components the same way for both; each carrier adds its product
+    kernel, its constructors and its accessors.
+    """
+
+    __slots__ = ("_c", "_v")
+
+    @classmethod
+    def _of(cls, comps, var):
+        """The series with homogeneous components ``comps`` (Fractions),
+        known through total degree len(comps) - 1."""
+        out = cls.__new__(cls)
+        out._c = tuple(map(tuple, comps))
+        out._v = var
+        return out
+
+    @property
+    def order(self) -> int:
+        return len(self._c) - 1
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for comp in self._c for v in comp)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self):
+        return hash(self._c)
+
+    def _check(self, other) -> None:
+        if self._v != other._v:
+            raise ValueError(f"variable mismatch: {self._v} vs {other._v}")
+
+    # -- ring operations --------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            # zip stops at the shorter series: the result has the smaller order
+            comps = [list(map(add, a, b)) for a, b in zip(self._c, other._c)]
+            return self._of(comps, self._v)
+        comps = list(self._c)
+        comps[0] = (comps[0][0] + _frac(other),)
+        return self._of(comps, self._v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of([[-v for v in comp] for comp in self._c], self._v)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, type(self)) else -_frac(other))
+
+    def __rsub__(self, other):
+        return (-self) + _frac(other)
+
+    def _times(self, scalar):
+        """Multiply by a scalar; the carriers' ``*`` for non-series operands."""
+        scale = _frac(scalar)
+        return self._of([[scale * v for v in comp] for comp in self._c], self._v)
+
+    def __truediv__(self, other):
+        if isinstance(other, type(self)):
+            return self * other.inverse()
+        return self._times(1 / _frac(other))
+
+    def inverse(self):
+        """Multiplicative inverse; requires a non-zero constant term."""
+        c0 = self._c[0][0]
+        if c0 == 0:
+            raise ZeroDivisionError("series has zero constant term")
+        # degree by degree: H_k = -(F_1 H_(k-1) + ... + F_k H_0) / c0
+        zeros = [[_ZERO] * len(comp) for comp in self._c]
+        solved = _graded_solve([1 / c0], self._c, zeros, [-c0] * len(self._c))
+        return self._of(solved, self._v)
+
+    # -- calculus ---------------------------------------------------------
+
+    def log(self):
+        """log of a series with constant term 1."""
+        if self._c[0][0] != 1:
+            raise ValueError("log needs constant term 1")
+        # U = euler(log F) solves F U = euler(F); log F has H_k = U_k / k
+        u = _graded_solve(
+            [_ZERO], (-self)._c, self.euler()._c, [1] * len(self._c)
+        )
+        return self._of(
+            [[v / k for v in comp] if k else comp for k, comp in enumerate(u)],
+            self._v,
+        )
+
+    def euler(self):
+        """Apply the Euler operator t d/dt, or z1 d/dz1 + z2 d/dz2: scale
+        each term by its total degree; preserves the truncation order."""
+        return self._of(
+            [[k * v for v in comp] for k, comp in enumerate(self._c)], self._v
+        )
+
+
+class Series1(_Graded):
     """Univariate truncated power series with exact rational coefficients."""
 
-    __slots__ = ("_c", "_var")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable, order: int | None = None, var: str = "t"):
         c = [_frac(v) for v in coeffs]
@@ -199,38 +306,31 @@ class Series1:
             raise ValueError("order must be non-negative")
         if len(c) < order + 1:
             c.extend([_ZERO] * (order + 1 - len(c)))
-        self._c = tuple(c[: order + 1])
-        self._var = var
+        self._c = tuple((v,) for v in c[: order + 1])
+        self._v = var
 
     # -- basics ---------------------------------------------------------
 
     @property
-    def order(self) -> int:
-        return len(self._c) - 1
-
-    @property
     def var(self) -> str:
-        return self._var
+        return self._v
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._c
+        return tuple(comp[0] for comp in self._c)
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("negative exponent")
         if k > self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self._c[k]
+        return self._c[k][0]
 
     __getitem__ = coefficient
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self._c)
-
     def valuation(self) -> int | None:
         """Index of the first non-zero coefficient, or None for the 0 series."""
-        for k, v in enumerate(self._c):
+        for k, (v,) in enumerate(self._c):
             if v:
                 return k
         return None
@@ -238,103 +338,41 @@ class Series1:
     def truncated(self, order: int) -> "Series1":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return Series1(self._c[: order + 1], order, self._var)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(self._c)
+        return Series1(self.coefficients[: order + 1], order, self._v)
 
     def __repr__(self) -> str:
         terms = []
-        for k, v in enumerate(self._c):
+        for k, (v,) in enumerate(self._c):
             if v:
-                terms.append(f"{v}*{self._var}^{k}" if k else f"{v}")
+                terms.append(f"{v}*{self._v}^{k}" if k else f"{v}")
         body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O({self._var}^{self.order + 1})>"
-
-    def _check_var(self, other: "Series1") -> None:
-        if self._var != other._var:
-            raise ValueError(f"variable mismatch: {self._var} vs {other._var}")
+        return f"<{body} + O({self._v}^{self.order + 1})>"
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, Series1):
-            self._check_var(other)
-            n = min(self.order, other.order)
-            return Series1(
-                [self._c[k] + other._c[k] for k in range(n + 1)], n, self._var
-            )
-        c = list(self._c)
-        c[0] += _frac(other)
-        return Series1(c, self.order, self._var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series1([-v for v in self._c], self.order, self._var)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Series1) else -_frac(other))
-
-    def __rsub__(self, other):
-        return (-self) + _frac(other)
-
     def __mul__(self, other):
-        if isinstance(other, Series1):
-            self._check_var(other)
-            n = min(self.order, other.order)
-            a, a_den = _scaled(self._c[: n + 1])
-            b, b_den = _scaled(other._c[: n + 1])
-            den = a_den * b_den
-            return Series1(
-                [Fraction(v, den) for v in _convolve(a, b, n)], n, self._var
-            )
-        scale = _frac(other)
-        return Series1([scale * v for v in self._c], self.order, self._var)
+        if not isinstance(other, Series1):
+            return self._times(other)
+        self._check(other)
+        n = min(self.order, other.order)
+        a, a_den = _scaled([v for (v,) in self._c[: n + 1]])
+        b, b_den = _scaled([v for (v,) in other._c[: n + 1]])
+        den = a_den * b_den
+        return Series1._of(
+            [(Fraction(v, den),) for v in _convolve(a, b, n)], self._v
+        )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Series1):
-            return self * other.inverse()
-        scale = _frac(other)
-        return Series1([v / scale for v in self._c], self.order, self._var)
-
-    def inverse(self) -> "Series1":
-        """Multiplicative inverse; requires a non-zero constant term."""
-        c0 = self._c[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        # h_m = -(c_1 h_(m-1) + ... + c_m h_0) / c_0
-        return self._solved(
-            1 / c0, self._c, [_ZERO] * len(self._c), [-c0] * len(self._c)
-        )
-
-    def _solved(self, first, weights, offsets, divisors) -> "Series1":
-        """The univariate case of :func:`_graded_solve`, in this variable."""
-        graded = _graded_solve(
-            [first], [[w] for w in weights], [[v] for v in offsets], divisors
-        )
-        return Series1([comp[0] for comp in graded], self.order, self._var)
+    # perfbench/spans.py wraps log by this class's own __dict__
+    log = _Graded.log
 
     # -- calculus ---------------------------------------------------------
-
-    def euler(self) -> "Series1":
-        """Apply t d/dt; preserves the truncation order."""
-        return Series1(
-            [k * v for k, v in enumerate(self._c)], self.order, self._var
-        )
 
     def shifted(self, k: int) -> "Series1":
         """Multiply by t^k; the order grows by k."""
         if k < 0:
             raise ValueError("shift must be non-negative")
-        return Series1((_ZERO,) * k + self._c, self.order + k, self._var)
+        return Series1._of(((_ZERO,),) * k + self._c, self._v)
 
     def compose(self, inner: "Series1") -> "Series1":
         """self(inner); requires inner constant term 0.
@@ -342,40 +380,27 @@ class Series1:
         The result carries order min(self.order * val(inner), inner.order)
         and lives in the inner series' variable.
         """
-        if inner._c[0] != 0:
+        if inner._c[0][0] != 0:
             raise ValueError("composition needs inner constant term 0")
         val = inner.valuation()
         if val is None:
-            return Series1([self._c[0]], inner.order, inner._var)
+            return Series1([self._c[0][0]], inner.order, inner._v)
         result_order = min(self.order * val, inner.order)
-        g = inner if inner.order == result_order else Series1(
-            inner._c[: result_order + 1], result_order, inner._var
-        )
-        acc = Series1([self._c[self.order]], result_order, inner._var)
+        g = inner if inner.order == result_order else inner.truncated(result_order)
+        acc = Series1([self._c[self.order][0]], result_order, inner._v)
         for k in range(self.order - 1, -1, -1):
-            acc = acc * g + self._c[k]
+            acc = acc * g + self._c[k][0]
         return acc
-
-    def log(self) -> "Series1":
-        """log of a series with constant term 1."""
-        if self._c[0] != 1:
-            raise ValueError("log needs constant term 1")
-        # u = t (log f)' solves f u = t f': u_n = n f_n - sum_k f_k u_(n-k)
-        u = self._solved(
-            _ZERO, [-v for v in self._c], self.euler()._c, [1] * len(self._c)
-        )
-        return Series1(
-            [_ZERO] + [v / k for k, v in enumerate(u._c) if k], self.order, self._var
-        )
 
     def exp(self) -> "Series1":
         """exp of a series with constant term 0."""
-        if self._c[0] != 0:
+        if self._c[0][0] != 0:
             raise ValueError("exp needs constant term 0")
         # h = exp(g) solves h' = g' h: n h_n = sum_k k g_k h_(n-k)
-        return self._solved(
-            _ONE, self.euler()._c, [_ZERO] * len(self._c), range(len(self._c))
+        solved = _graded_solve(
+            [_ONE], self.euler()._c, [[_ZERO]] * len(self._c), range(len(self._c))
         )
+        return Series1._of(solved, self._v)
 
     # -- constructors -------------------------------------------------------
 
@@ -400,14 +425,13 @@ class Series1:
         return cls(c, order, var)
 
 
-class Series2:
+class Series2(_Graded):
     """Bivariate power series truncated by total degree.
 
-    Stored as homogeneous components: ``_c[k][i]`` is the coefficient of
-    z1^i z2^(k-i), the layout the products and solves run on.
+    ``_c[k][i]`` is the coefficient of z1^i z2^(k-i).
     """
 
-    __slots__ = ("_c", "_vars")
+    __slots__ = ()
 
     def __init__(self, coeffs, order: int, vars: tuple[str, str] = ("z1", "z2")):
         """``coeffs`` is a mapping (i, j) -> value; entries beyond the
@@ -422,24 +446,11 @@ class Series2:
                 raise ValueError("coefficient beyond total-degree truncation")
             comps[i + j][i] = _frac(v)
         self._c = tuple(map(tuple, comps))
-        self._vars = vars
-
-    @classmethod
-    def _of(cls, comps, vars: tuple[str, str]) -> "Series2":
-        """The series with homogeneous components ``comps`` (Fractions),
-        known through total degree len(comps) - 1."""
-        out = cls.__new__(cls)
-        out._c = tuple(map(tuple, comps))
-        out._vars = vars
-        return out
-
-    @property
-    def order(self) -> int:
-        return len(self._c) - 1
+        self._v = vars
 
     @property
     def vars(self) -> tuple[str, str]:
-        return self._vars
+        return self._v
 
     def coefficient(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0:
@@ -458,116 +469,45 @@ class Series2:
                 if self._c[i + j][i]:
                     yield (i, j), self._c[i + j][i]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for comp in self._c for v in comp)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series2):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(self._c)
-
     def __repr__(self) -> str:
-        z1, z2 = self._vars
+        z1, z2 = self._v
         parts = [f"{v}*{z1}^{i}*{z2}^{j}" for (i, j), v in self.terms()]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} + O(total deg {self.order + 1})>"
 
-    def _check(self, other: "Series2") -> None:
-        if self._vars != other._vars:
-            raise ValueError("variable mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, Series2):
-            self._check(other)
-            # zip stops at the shorter series: the result has the smaller order
-            comps = [list(map(add, a, b)) for a, b in zip(self._c, other._c)]
-            return Series2._of(comps, self._vars)
-        comps = list(self._c)
-        comps[0] = (comps[0][0] + _frac(other),)
-        return Series2._of(comps, self._vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series2._of([[-v for v in comp] for comp in self._c], self._vars)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Series2) else -_frac(other))
-
-    def __rsub__(self, other):
-        return (-self) + _frac(other)
-
     def __mul__(self, other):
-        if isinstance(other, Series2):
-            self._check(other)
-            n = min(self.order, other.order)
-            a, a_den = _scaled_graded(self._c[: n + 1])
-            b, b_den = _scaled_graded(other._c[: n + 1])
-            den = a_den * b_den
-            return Series2._of(
-                [
-                    [Fraction(v, den) for v in _graded_term(a, b, k, k)]
-                    for k in range(n + 1)
-                ],
-                self._vars,
-            )
-        scale = _frac(other)
+        if not isinstance(other, Series2):
+            return self._times(other)
+        self._check(other)
+        n = min(self.order, other.order)
+        a, a_den = _scaled_graded(self._c[: n + 1])
+        b, b_den = _scaled_graded(other._c[: n + 1])
+        den = a_den * b_den
         return Series2._of(
-            [[scale * v for v in comp] for comp in self._c], self._vars
+            [
+                [Fraction(v, den) for v in _graded_term(a, b, k, k)]
+                for k in range(n + 1)
+            ],
+            self._v,
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Series2):
-            return self * other.inverse()
-        scale = _frac(other)
-        return Series2._of(
-            [[v / scale for v in comp] for comp in self._c], self._vars
-        )
-
-    def inverse(self) -> "Series2":
-        c00 = self._c[0][0]
-        if c00 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        # degree by degree: H_k = -(F_1 H_(k-1) + ... + F_k H_0) / c00
-        zeros = [[_ZERO] * len(comp) for comp in self._c]
-        solved = _graded_solve([1 / c00], self._c, zeros, [-c00] * len(self._c))
-        return Series2._of(solved, self._vars)
-
-    def log(self) -> "Series2":
-        if self._c[0][0] != 1:
-            raise ValueError("log needs constant term 1")
-        # U = euler(log F) solves F U = euler(F); log F has H_k = U_k / k
-        u = _graded_solve(
-            [_ZERO], (-self)._c, self.euler()._c, [1] * len(self._c)
-        )
-        return Series2._of(
-            [[v / k for v in comp] if k else comp for k, comp in enumerate(u)],
-            self._vars,
-        )
-
-    def euler(self) -> "Series2":
-        """Apply z1 d/dz1 + z2 d/dz2 (scales each term by its total degree)."""
-        return Series2._of(
-            [[k * v for v in comp] for k, comp in enumerate(self._c)], self._vars
-        )
+    # perfbench/spans.py wraps these by this class's own __dict__
+    __add__ = __radd__ = _Graded.__add__
+    log = _Graded.log
 
     def transposed(self) -> "Series2":
-        return Series2._of([comp[::-1] for comp in self._c], self._vars)
+        return Series2._of([comp[::-1] for comp in self._c], self._v)
 
     def is_symmetric(self) -> bool:
         return self == self.transposed()
 
     def at_z2_zero(self) -> Series1:
         """Restrict to z2 = 0; a series in z1, full to the same order."""
-        return Series1([comp[-1] for comp in self._c], self.order, self._vars[0])
+        return Series1._of([comp[-1:] for comp in self._c], self._v[0])
 
     def at_z1_zero(self) -> Series1:
-        return Series1([comp[0] for comp in self._c], self.order, self._vars[1])
+        return Series1._of([comp[:1] for comp in self._c], self._v[1])
 
     @classmethod
     def zero(cls, order: int, vars: tuple[str, str] = ("z1", "z2")) -> "Series2":

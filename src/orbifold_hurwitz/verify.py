@@ -50,6 +50,23 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def jpt_costliest(r: int, d_max: int) -> HurwitzIndex:
+    """The costliest query of :func:`verify_jpt`: the largest degree, with
+    two parts if it has any."""
+    top = d_max - d_max % r
+    return HurwitzIndex(r, 0, (top - 1, 1) if top > 1 else (top,))
+
+
+def cayley_costliest(d_max: int) -> HurwitzIndex:
+    """The costliest query of :func:`verify_cayley`."""
+    return HurwitzIndex(1, 0, (d_max,))
+
+
+def scaling_costliest(r: int, m_max: int) -> HurwitzIndex:
+    """The costliest query of :func:`verify_r_scaling`."""
+    return HurwitzIndex(r, 0, (r * m_max,))
+
+
 def verify_jpt(r: int, d_max: int, memo: MemoTable | None = None) -> VerificationReport:
     """Recursion vs the genus-0 closed forms for one- and two-part profiles.
 
@@ -59,9 +76,7 @@ def verify_jpt(r: int, d_max: int, memo: MemoTable | None = None) -> Verificatio
     """
     if d_max < r:
         raise ValueError("d_max must be at least r")
-    top = d_max - d_max % r
-    # the costliest query: the largest degree, with two parts if it has any
-    check_budget(HurwitzIndex(r, 0, (top - 1, 1) if top > 1 else (top,)))
+    check_budget(jpt_costliest(r, d_max))
     memo = memo or MemoTable()
     report = VerificationReport(f"jpt r={r} d_max={d_max}")
     for d in range(r, d_max + 1, r):
@@ -83,7 +98,7 @@ def verify_cayley(d_max: int, memo: MemoTable | None = None) -> VerificationRepo
     """Tree counts vs the closed power formula and vs the one-part recursion."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    check_budget(HurwitzIndex(1, 0, (d_max,)))  # the costliest query
+    check_budget(cayley_costliest(d_max))
     memo = memo or MemoTable()
     report = VerificationReport(f"cayley d_max={d_max}")
     for d in range(1, d_max + 1):
@@ -101,7 +116,7 @@ def verify_r_scaling(
     r = 1 quadratic recursion, seeded at a_1 = r."""
     if m_max < 1:
         raise ValueError("m_max must be positive")
-    check_budget(HurwitzIndex(r, 0, (r * m_max,)))  # the costliest query
+    check_budget(scaling_costliest(r, m_max))
     memo = memo or MemoTable()
     report = VerificationReport(f"scaling r={r} m_max={m_max}")
     a = [None] + [

@@ -577,6 +577,53 @@ def test_verify_bad_flags_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "jpt", "--max-degree", "-7"),
+        ("--suite", "all", "--d-max", "0"),
+        ("--suite", "cayley", "--max", "0"),
+        ("--suite", "oracle", "--s-max", "-1"),
+        ("--suite", "ode", "--order", "0"),
+        ("--suite", "pde", "--total-order", "-2"),
+        ("--suite", "scaling", "--m-max", "0"),
+    ],
+)
+def test_verify_out_of_range_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["verify", *argv])
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[2]}: must be at least" in captured.err
+
+
+def test_verify_all_admits_every_suite_before_running_one(monkeypatch, capsys):
+    called = []
+    for name in (
+        "verify_jpt",
+        "verify_cayley",
+        "verify_against_oracle",
+        "verify_f01",
+        "verify_f02",
+        "verify_spectral_ode",
+        "verify_f02_pde",
+        "verify_r_scaling",
+    ):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+    argv = ["--suite", "all", "--total-order", "74", "--order", "143"]
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as refused:
+        # scaling, the last suite, is over the recursion budget at m = 800
+        cli.main(["verify", *argv, "--d-max", "8", "--m-max", "800"])
+    assert time.perf_counter() - started < 1
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "recursion budget" in captured.err
+    assert called == []
+
+
 def test_verify_failure_exits_1(monkeypatch):
     failing = VerificationReport("cayley stub")
     failing.check("stub case", "1", "2")

@@ -618,3 +618,101 @@ def test_series2_terms_equality_and_hash_loop(a, b):
     assert (a == b) == same
     if same:
         assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# Series1 against coefficient-by-coefficient loops
+# ---------------------------------------------------------------------------
+
+
+@reference
+@given(series1(), series1())
+def test_series1_sum_and_difference_loop(a, b):
+    n = min(a.order, b.order)
+    ca, cb = a.coefficients, b.coefficients
+    assert (a + b).order == (a - b).order == n
+    assert (a + b).coefficients == tuple(ca[k] + cb[k] for k in range(n + 1))
+    assert (a - b).coefficients == tuple(ca[k] - cb[k] for k in range(n + 1))
+    assert (-a).coefficients == tuple(-v for v in ca)
+
+
+@reference
+@given(series1(), coeff, nonzero)
+def test_series1_scalar_operations_loop(a, c, q):
+    ca = a.coefficients
+    assert (a * c).coefficients == (c * a).coefficients == tuple(c * v for v in ca)
+    assert (a / q).coefficients == tuple(v / q for v in ca)
+    assert (a + c).coefficients == (c + a).coefficients == (ca[0] + c,) + ca[1:]
+    assert (a - c).coefficients == (ca[0] - c,) + ca[1:]
+    assert (c - a).coefficients == (c - ca[0],) + tuple(-v for v in ca[1:])
+
+
+@reference
+@given(series1(), st.integers(0, 4), st.integers(0, 12))
+def test_series1_euler_shift_and_truncation_loop(a, k, m):
+    ca = a.coefficients
+    assert a.euler().coefficients == tuple(i * v for i, v in enumerate(ca))
+    shifted = a.shifted(k)
+    assert shifted.order == a.order + k
+    assert shifted.coefficients == (F(0),) * k + ca
+    if m <= a.order:
+        assert a.truncated(m).coefficients == ca[: m + 1]
+    else:
+        with pytest.raises(ValueError):
+            a.truncated(m)
+    assert a.euler().var == shifted.var == (a / 2).var == (-a).var == a.var
+
+
+@reference
+@given(series1(), series1())
+def test_series1_equality_hash_and_valuation_loop(a, b):
+    ca = a.coefficients
+    assert a.is_zero() == (not any(ca))
+    assert a.valuation() == next((k for k, v in enumerate(ca) if v), None)
+    assert [a[k] for k in range(a.order + 1)] == list(ca)
+    rebuilt = Series1(list(ca), a.order)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    same = ca == b.coefficients
+    assert (a == b) == same and (a != b) == (not same)
+    if same:
+        assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# the flat and graded kernels against each other
+# ---------------------------------------------------------------------------
+#
+# Restricting to z2 = 0 or z1 = 0 is a ring map from Series2 to Series1, so
+# each Series2 operation, restricted, must equal the Series1 operation on
+# the restrictions.
+
+
+@reference
+@given(series2(), series2())
+def test_product_commutes_with_restriction(a, b):
+    assert (a * b).at_z2_zero() == a.at_z2_zero() * b.at_z2_zero()
+    assert (a * b).at_z1_zero() == a.at_z1_zero() * b.at_z1_zero()
+
+
+@reference
+@given(series2(), nonzero)
+def test_inverse_log_and_euler_commute_with_restriction(f, c00):
+    f = f + (c00 - f.coefficient(0, 0))
+    unit = f / c00
+    for restrict in (Series2.at_z2_zero, Series2.at_z1_zero):
+        assert restrict(f.inverse()) == restrict(f).inverse()
+        assert restrict(unit.log()) == restrict(unit).log()
+        assert restrict(f.euler()) == restrict(f).euler()
+
+
+@pytest.mark.parametrize("c", [0, 1, F(-3, 7)])
+def test_series1_never_equals_series2(c):
+    # at order 0 both carriers hold the one component (c,)
+    pairs = [
+        (Series1([c], 0), Series2({(0, 0): c}, 0)),
+        (Series1([c, 0], 1), Series2({(0, 0): c}, 1)),
+    ]
+    for one, two in pairs:
+        assert one != two and two != one
+        assert not one == two and not two == one
+        assert len({one, two}) == 2

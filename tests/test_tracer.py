@@ -1,0 +1,46 @@
+"""The benchmark tracer in ``perfbench/spans.py`` can patch every name it
+wraps and puts each one back.
+
+The tracer wraps attributes by ``vars(owner)[attr]``, so a name that a class
+only inherits makes ``install`` fail with a ``KeyError``; this test catches
+that here instead of in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from orbifold_hurwitz import cli, report, series
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_wraps_and_remove_restores(capsys):
+    owners = [series.Series1, series.Series2, series, cli, report.VerificationReport]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._undo)
+        for owner, attr, original in wrapped:
+            assert vars(owner)[attr].__wrapped__ is original
+        # every suite runs through the wrapped names and their hooks
+        assert cli.main(["verify", "--suite", "all"]) == 0
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+    assert tracer.counts["verify.checks"] > 0 and tracer.counts["verify.failed"] == 0
+    names = {(getattr(owner, "__name__", None), attr) for owner, attr, _ in wrapped}
+    for attr in ("__mul__", "__rmul__", "exp", "log"):
+        assert ("Series1", attr) in names
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "log"):
+        assert ("Series2", attr) in names
+    for owner, attr, original in wrapped:
+        assert vars(owner)[attr] is original
+    assert [dict(vars(owner)) for owner in owners] == before
