@@ -210,18 +210,22 @@ def _order(args, default: int) -> int:
     return default if args.order is None else args.order
 
 
-def _series(suite: str, r: int, cost: int) -> None:
-    admit(f"suite {suite} --r {r}", cost, SERIES_BUDGET, "series")
+def _series(suite: str, r: int, order: int, least: int, cost: int) -> None:
+    what = f"suite {suite} --r {r}"
+    if order < least:
+        raise ValueError(f"{what}: order {order} is below the least order {least}")
+    admit(what, cost, SERIES_BUDGET, "series")
 
 
 # The verify suites, in the order ``all`` runs them: runner(args, r, memo),
 # whether it runs once per r, and check(args, r), which refuses the suite
 # up front: its costliest recursion query, its oracle run, or its series
-# cost.  The runners look the verify_* names up in this module when they
-# are called.  The checks reach verify's other functions through the
-# module: perfbench/spans.py takes every function imported by name from
-# verify for a suite that returns a report.  verify_f01 is held to the
-# Horner cost of ``f01_from_counts``, the r = 1 curve's count (see
+# order (at least 2r for ode/f01, max(2, r) for f02/pde) and cost.  The
+# runners look the verify_* names up in this module when they are called.
+# The checks reach verify's other functions through the module:
+# perfbench/spans.py takes every function imported by name from verify
+# for a suite that returns a report.  verify_f01 is held to the Horner
+# cost of ``f01_from_counts``, the r = 1 curve's count (see
 # ``series_cost``).
 VERIFY_SUITES = {
     "jpt": (lambda a, r, m: verify_jpt(r, max(a.max_degree, r), m), True,
@@ -231,13 +235,17 @@ VERIFY_SUITES = {
     "oracle": (lambda a, r, m: verify_against_oracle(a.r, a.d_max, a.s_max, m), False,
                lambda a, r: verify.oracle_cases(a.r, a.d_max, a.s_max)),
     "f01": (lambda a, r, m: verify_f01(r, _order(a, 12), m), True,
-            lambda a, r: _series("f01", r, series_cost("curve", 1, _order(a, 12)))),
+            lambda a, r: _series("f01", r, _order(a, 12), 2 * r,
+                                 series_cost("curve", 1, _order(a, 12)))),
     "f02": (lambda a, r, m: verify_f02(r, a.total_order, m), True,
-            lambda a, r: _series("f02", r, series_cost("f02", r, a.total_order))),
+            lambda a, r: _series("f02", r, a.total_order, max(2, r),
+                                 series_cost("f02", r, a.total_order))),
     "ode": (lambda a, r, m: verify_spectral_ode(r, _order(a, 20)), True,
-            lambda a, r: _series("ode", r, series_cost("curve", r, _order(a, 20)))),
+            lambda a, r: _series("ode", r, _order(a, 20), 2 * r,
+                                 series_cost("curve", r, _order(a, 20)))),
     "pde": (lambda a, r, m: verify_f02_pde(r, a.total_order), True,
-            lambda a, r: _series("pde", r, series_cost("f02", r, a.total_order))),
+            lambda a, r: _series("pde", r, a.total_order, max(2, r),
+                                 series_cost("f02", r, a.total_order))),
     "scaling": (lambda a, r, m: verify_r_scaling(r, a.m_max, m), True,
                 lambda a, r: check_budget(verify.scaling_costliest(r, a.m_max))),
 }

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial
 from typing import Generator, Iterable, Iterator
 
@@ -53,9 +52,9 @@ _ZERO = Fraction(0)
 
 # Largest cost bound (see ``_cost_bound``) a query may have; larger ones
 # are refused before any evaluation.  The slowest accepted queries, such
-# as r = 1, g = 0, mu = (1,) * 27, take about 8 s on one x86-64 core under
-# CPython 3.11; the largest bound in the r = 2, g <= 2, d <= 20 table is
-# 276,660.
+# as r = 1, g = 0, mu = (1,) * 27, take 11-15 s (three CLI runs) on a
+# shared 2-vCPU Xeon VM under CPython 3.11.7; the largest bound in the
+# r = 2, g <= 2, d <= 20 table is 276,660.
 WORK_BUDGET = 500_000
 
 
@@ -93,33 +92,45 @@ class MemoTable:
 
 def _submultiset_splits(
     rest: Profile,
-) -> list[tuple[Profile, Profile, int]]:
+) -> list[tuple[Profile, Profile, int, int, int]]:
     """All ways to split the multiset ``rest`` into an ordered pair (I, J).
 
-    Returns (I, J, ways) triples where ``ways`` counts the index subsets
-    realizing the sub-multiset I, i.e. the product of binomials over the
-    distinct part values.  Grouping by value keeps the split sum polynomial
-    in the number of *distinct* parts instead of 2^n.
+    ``rest`` is sorted descending.  Returns (I, J, ways, deg I, len I)
+    tuples, I and J sorted descending, where ``ways`` counts the index
+    subsets realizing the sub-multiset I, i.e. the product of binomials
+    over the distinct part values.  The splits are built one distinct
+    value at a time, so their number is the product of (multiplicity + 1)
+    over the distinct parts instead of 2^n.
     """
-    values: list[int] = []
-    mults: list[int] = []
-    for v in rest:
-        if values and values[-1] == v:
-            mults[-1] += 1
-        else:
-            values.append(v)
-            mults.append(1)
-    splits: list[tuple[Profile, Profile, int]] = []
-    for picks in product(*(range(m + 1) for m in mults)):
-        ways = 1
-        left: list[int] = []
-        right: list[int] = []
-        for v, m, k in zip(values, mults, picks):
-            ways *= comb(m, k)
-            left.extend([v] * k)
-            right.extend([v] * (m - k))
-        splits.append((tuple(left), tuple(right), ways))
+    splits: list[tuple[Profile, Profile, int, int, int]] = [((), (), 1, 0, 0)]
+    n = len(rest)
+    start = 0
+    while start < n:
+        v = rest[start]
+        end = start + 1
+        while end < n and rest[end] == v:
+            end += 1
+        m = end - start
+        start = end
+        splits = [
+            (left + (v,) * k, right + (v,) * (m - k), ways * comb(m, k),
+             degree + v * k, length + k)
+            for left, right, ways, degree, length in splits
+            for k in range(m + 1)
+        ]
     return splits
+
+
+def _insert(parts: Profile, value: int) -> Profile:
+    """``parts``, sorted descending, with ``value`` inserted in order."""
+    if not parts or parts[0] <= value:
+        return (value,) + parts
+    if parts[-1] >= value:
+        return parts + (value,)
+    i = 1
+    while parts[i] > value:
+        i += 1
+    return parts[:i] + (value,) + parts[i:]
 
 
 def _known(r: int, g: int, mu: Profile, table: dict) -> int | None:
@@ -148,7 +159,8 @@ def _contraction(
     Contracting one of the s labeled edges gives E as plain integer sums
     over states one edge down.  The generator yields the (g, mu) of each
     child that is not yet known and expects its E sent back; it stores its
-    own result in ``table`` before returning it.
+    own result in ``table`` before returning it.  Each child is looked up
+    in ``table`` first and goes through ``_known`` only on a miss.
     """
     s = edge_count(r, g, mu)
     n = len(mu)
@@ -175,16 +187,13 @@ def _contraction(
                 pairs = mult_u * mult_v
             if not pairs:
                 continue
-            merged = tuple(
-                sorted(
-                    mu[:i] + (u + v,) + mu[i + 1 : j] + mu[j + 1 :],
-                    reverse=True,
-                )
-            )
+            merged = _insert(mu[:i] + mu[i + 1 : j] + mu[j + 1 :], u + v)
             assert edge_count(r, g, merged) == s - 1
-            child = _known(r, g, merged, table)
+            child = table.get((r, g, merged))
             if child is None:
-                child = yield g, merged
+                child = _known(r, g, merged, table)
+                if child is None:
+                    child = yield g, merged
             acc += pairs * u * v * child
 
     # Contract a loop at one vertex: mu_i breaks into a + b, and the loop
@@ -192,39 +201,47 @@ def _contraction(
     # remaining parts distribute over the two sides, and the s - 1 other
     # edge labels with them).
     loop_acc = 0
+    # C(s - 1, k): the ways to hand k of the other edge labels to one side
+    binom = [comb(s - 1, k) for k in range(s)]
     for value, start, mult in runs:
+        if value < 2:
+            continue
         # dropping one copy of value keeps the descending order
         rest = mu[:start] + mu[start + 1 :]
         inner = 0
-        if value >= 2:
-            splits = _submultiset_splits(rest)
-            for a in range(1, value):
-                b = value - a
-                handle = tuple(sorted(rest + (a, b), reverse=True))
-                assert edge_count(r, g - 1, handle) in (None, s - 1)
+        for a in range(1, value):
+            handle = _insert(_insert(rest, a), value - a)
+            assert edge_count(r, g - 1, handle) in (None, s - 1)
+            child = table.get((r, g - 1, handle))
+            if child is None:
                 child = _known(r, g - 1, handle, table)
                 if child is None:
                     child = yield g - 1, handle
-                inner += child
-                for left, right, ways in splits:
-                    mu1 = tuple(sorted((a,) + left, reverse=True))
-                    s1 = edge_count(r, 0, mu1)
-                    if s1 is None:
-                        # r divides neither side's degree: every term is 0.
-                        continue
-                    mu2 = tuple(sorted((b,) + right, reverse=True))
-                    assert s1 + edge_count(r, g, mu2) == s - 1
-                    for g1 in range(g + 1):
+            inner += child
+        # A separating loop needs r | deg mu1 = a + deg I (then r | deg mu2
+        # too), so each split steps a through that residue class only.
+        for left, right, ways, degree, length in _submultiset_splits(rest):
+            for a in range(r - degree % r, value, r):
+                mu1 = _insert(left, a)
+                # edge count of (0, mu1); at genus g1 it is s1 + 2 g1
+                s1 = (a + degree) // r + length - 1
+                mu2 = _insert(right, value - a)
+                assert s1 + edge_count(r, g, mu2) == s - 1
+                for g1 in range(g + 1):
+                    lhs = table.get((r, g1, mu1))
+                    if lhs is None:
                         lhs = _known(r, g1, mu1, table)
                         if lhs is None:
                             lhs = yield g1, mu1
-                        if not lhs:
-                            continue
+                    if not lhs:
+                        continue
+                    rhs = table.get((r, g - g1, mu2))
+                    if rhs is None:
                         rhs = _known(r, g - g1, mu2, table)
                         if rhs is None:
                             rhs = yield g - g1, mu2
-                        if rhs:
-                            inner += ways * comb(s - 1, s1 + 2 * g1) * lhs * rhs
+                    if rhs:
+                        inner += ways * binom[s1 + 2 * g1] * lhs * rhs
         loop_acc += value * mult * inner
 
     # The loop sum runs over ordered splits a + b and so counts every loop

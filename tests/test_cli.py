@@ -598,18 +598,21 @@ def test_verify_out_of_range_flags_exit_2(capsys, argv):
     assert f"argument {argv[2]}: must be at least" in captured.err
 
 
+SUITE_RUNNERS = (
+    "verify_jpt",
+    "verify_cayley",
+    "verify_against_oracle",
+    "verify_f01",
+    "verify_f02",
+    "verify_spectral_ode",
+    "verify_f02_pde",
+    "verify_r_scaling",
+)
+
+
 def test_verify_all_admits_every_suite_before_running_one(monkeypatch, capsys):
     called = []
-    for name in (
-        "verify_jpt",
-        "verify_cayley",
-        "verify_against_oracle",
-        "verify_f01",
-        "verify_f02",
-        "verify_spectral_ode",
-        "verify_f02_pde",
-        "verify_r_scaling",
-    ):
+    for name in SUITE_RUNNERS:
         monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
     argv = ["--suite", "all", "--total-order", "74", "--order", "143"]
     started = time.perf_counter()
@@ -621,6 +624,29 @@ def test_verify_all_admits_every_suite_before_running_one(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "recursion budget" in captured.err
+    assert called == []
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        # f01 --r 2 needs order 4; jpt, cayley, oracle and f01 --r 1 come first
+        (("--suite", "all", "--order", "3", "--d-max", "8"), "suite f01 --r 2"),
+        (("--suite", "ode", "--r", "1,2", "--order", "3"), "suite ode --r 2"),
+        (("--suite", "f02", "--r", "1,3", "--total-order", "2"), "suite f02 --r 3"),
+        (("--suite", "pde", "--r", "3", "--total-order", "2"), "suite pde --r 3"),
+    ],
+)
+def test_verify_series_order_refused_before_any_suite_runs(monkeypatch, capsys, argv, refused):
+    called = []
+    for name in SUITE_RUNNERS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["verify", *argv])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert not [line for line in captured.out.splitlines() if line.startswith("suite ")]
+    assert f"{refused}: order" in captured.err and "least order" in captured.err
     assert called == []
 
 

@@ -3,8 +3,10 @@
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import combinations, product
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from orbifold_hurwitz import (
     verify_r_scaling,
 )
 from orbifold_hurwitz.core import check_budget
-from orbifold_hurwitz.index import admit
+from orbifold_hurwitz.index import admit, edge_count
 
 F = Fraction
 
@@ -380,6 +382,204 @@ def test_strict_positivity_spot_checks():
             assert arrowed_hurwitz(HurwitzIndex(1, 0, mu), memo) > 0
     assert arrowed_hurwitz(HurwitzIndex(2, 1, (4,)), memo) > 0
     assert arrowed_hurwitz(HurwitzIndex(1, 2, (2,)), memo) > 0
+
+
+# ---------------------------------------------------------------------------
+# the contraction step
+# ---------------------------------------------------------------------------
+
+
+def _reference_splits(rest):
+    """The split helper as it was before splits carried their degree and
+    length: one ``extend`` per pick of ``itertools.product``."""
+    values = []
+    mults = []
+    for v in rest:
+        if values and values[-1] == v:
+            mults[-1] += 1
+        else:
+            values.append(v)
+            mults.append(1)
+    splits = []
+    for picks in product(*(range(m + 1) for m in mults)):
+        ways = 1
+        left = []
+        right = []
+        for v, m, k in zip(values, mults, picks):
+            ways *= comb(m, k)
+            left.extend([v] * k)
+            right.extend([v] * (m - k))
+        splits.append((tuple(left), tuple(right), ways))
+    return splits
+
+
+def _reference_known(r, g, mu, table):
+    value = table.get((r, g, mu))
+    if value is not None:
+        return value
+    s = edge_count(r, g, mu)
+    if s is None or g < 0:
+        return 0
+    if s == 0:
+        return 1 if (g == 0 and mu == (r,)) else 0
+    return None
+
+
+def _reference_contraction(r, g, mu, table):
+    """The contraction step as it was before the residue-class walk: every
+    child built by ``sorted``, every split tried for every a."""
+    s = edge_count(r, g, mu)
+    n = len(mu)
+    runs = []
+    start = 0
+    while start < n:
+        end = start
+        while end < n and mu[end] == mu[start]:
+            end += 1
+        runs.append((mu[start], start, end - start))
+        start = end
+
+    acc = 0
+    for x, (u, i, mult_u) in enumerate(runs):
+        for v, j, mult_v in runs[x:]:
+            if j == i:
+                pairs = mult_u * (mult_u - 1) // 2
+                j = i + 1
+            else:
+                pairs = mult_u * mult_v
+            if not pairs:
+                continue
+            merged = tuple(
+                sorted(
+                    mu[:i] + (u + v,) + mu[i + 1 : j] + mu[j + 1 :],
+                    reverse=True,
+                )
+            )
+            assert edge_count(r, g, merged) == s - 1
+            child = _reference_known(r, g, merged, table)
+            if child is None:
+                child = yield g, merged
+            acc += pairs * u * v * child
+
+    loop_acc = 0
+    for value, start, mult in runs:
+        rest = mu[:start] + mu[start + 1 :]
+        inner = 0
+        if value >= 2:
+            splits = _reference_splits(rest)
+            for a in range(1, value):
+                b = value - a
+                handle = tuple(sorted(rest + (a, b), reverse=True))
+                assert edge_count(r, g - 1, handle) in (None, s - 1)
+                child = _reference_known(r, g - 1, handle, table)
+                if child is None:
+                    child = yield g - 1, handle
+                inner += child
+                for left, right, ways in splits:
+                    mu1 = tuple(sorted((a,) + left, reverse=True))
+                    s1 = edge_count(r, 0, mu1)
+                    if s1 is None:
+                        continue
+                    mu2 = tuple(sorted((b,) + right, reverse=True))
+                    assert s1 + edge_count(r, g, mu2) == s - 1
+                    for g1 in range(g + 1):
+                        lhs = _reference_known(r, g1, mu1, table)
+                        if lhs is None:
+                            lhs = yield g1, mu1
+                        if not lhs:
+                            continue
+                        rhs = _reference_known(r, g - g1, mu2, table)
+                        if rhs is None:
+                            rhs = yield g - g1, mu2
+                        if rhs:
+                            inner += ways * comb(s - 1, s1 + 2 * g1) * lhs * rhs
+        loop_acc += value * mult * inner
+
+    half, odd = divmod(loop_acc, 2)
+    if odd:
+        raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={mu}")
+    result = acc + half
+    table[(r, g, mu)] = result
+    return result
+
+
+def _reference_fill(r, g, mu, table):
+    """Fill ``table`` with E for (r, g, mu) and its descendants, through
+    the reference contraction step on the same explicit stack."""
+    value = _reference_known(r, g, mu, table)
+    if value is not None:
+        return value
+    stack = [_reference_contraction(r, g, mu, table)]
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(_reference_contraction(r, *child, table))
+            value = None
+    return value
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_memo_table_matches_the_sorting_reference(r):
+    # The residue-class walk skips the splits with r not dividing d1; at
+    # r >= 3 only this test checks that it skips no others.
+    memo = MemoTable()
+    reference = {}
+    for g in range(3):
+        for d in range(r, (12 if r < 3 else 15) + 1, r):
+            for mu in partitions(d):
+                value = arrowed_hurwitz(HurwitzIndex(r, g, mu), memo)
+                expected = _reference_fill(r, g, mu, reference)
+                assert value * factorial(edge_count(r, g, mu)) == expected
+    assert memo._table == reference
+    assert len(reference) > 100
+
+
+def test_memo_table_keeps_its_zero_entries():
+    # A degree-1 cover of positive genus does not exist: E(1, g, (1,)) = 0.
+    memo = MemoTable()
+    reference = {}
+    for mu in partitions(3):
+        arrowed_hurwitz(HurwitzIndex(1, 2, mu), memo)
+        _reference_fill(1, 2, mu, reference)
+    assert memo._table == reference
+    assert memo._table[1, 1, (1,)] == memo._table[1, 2, (1,)] == 0
+
+
+@pytest.mark.parametrize(
+    "rest", [(), (4,), (3, 3, 3, 3), (3, 2, 2, 1, 1, 1), (6, 4, 4, 2, 1)]
+)
+def test_submultiset_splits_match_index_subsets(rest):
+    expected = Counter()
+    for k in range(len(rest) + 1):
+        for picked in combinations(range(len(rest)), k):
+            left = tuple(rest[i] for i in picked)
+            right = tuple(p for i, p in enumerate(rest) if i not in picked)
+            expected[left, right] += 1
+    splits = core_module._submultiset_splits(rest)
+    pairs = [(left, right) for left, right, *_ in splits]
+    assert len(pairs) == len(set(pairs)) == len(expected)
+    for left, right, ways, degree, length in splits:
+        assert ways == expected[left, right]
+        assert (degree, length) == (sum(left), len(left))
+    assert sum(ways for _, _, ways, _, _ in splits) == 2 ** len(rest)
+
+
+def test_odd_loop_sum_raises(monkeypatch):
+    # Counting one split once more breaks the a <-> b pairing of the loop
+    # sum; at r = 2, mu = (3, 1) that adds 3 * E(2, 0, (1, 1)) * E(2, 0, (2,)).
+    splits = core_module._submultiset_splits
+
+    def one_extra_way(rest):
+        *others, (left, right, ways, degree, length) = splits(rest)
+        return [*others, (left, right, ways + 1, degree, length)]
+
+    monkeypatch.setattr(core_module, "_submultiset_splits", one_extra_way)
+    with pytest.raises(ArithmeticError, match="odd loop sum"):
+        arrowed_hurwitz(HurwitzIndex(2, 0, (3, 1)), MemoTable())
 
 
 # ---------------------------------------------------------------------------
