@@ -4,7 +4,7 @@ The package computes the counts by an edge-contraction recursion in exact
 rational arithmetic, derives the mirror data (the generalized Lambert
 curve x^r = y exp(-r y) and the genus-0 one- and two-point generating
 functions) as truncated series, and cross-validates everything against
-closed formulas and an independent symmetric-group monodromy enumeration.
+closed formulas and an independent symmetric-group monodromy count.
 """
 
 from .core import (
@@ -23,9 +23,7 @@ from .index import (
     canonical_profile,
 )
 from .oracle import (
-    PermutationTuple,
     count_monodromy_tuples,
-    enumerate_monodromy_tuples,
     raw_tuple_count,
 )
 from .report import CheckCase, VerificationReport
@@ -64,7 +62,6 @@ __all__ = [
     "DivisibilityError",
     "HurwitzIndex",
     "MemoTable",
-    "PermutationTuple",
     "Series1",
     "Series2",
     "VerificationReport",
@@ -72,7 +69,6 @@ __all__ = [
     "canonical_profile",
     "count_monodromy_tuples",
     "divided_difference",
-    "enumerate_monodromy_tuples",
     "f01_closed_in_z",
     "f01_from_counts",
     "f01_in_x",

@@ -52,9 +52,10 @@ _ZERO = Fraction(0)
 
 # Largest cost bound (see ``_cost_bound``) a query may have; larger ones
 # are refused before any evaluation.  The slowest accepted queries, such
-# as r = 1, g = 0, mu = (1,) * 27, take 11-15 s (three CLI runs) on a
-# shared 2-vCPU Xeon VM under CPython 3.11.7; the largest bound in the
-# r = 2, g <= 2, d <= 20 table is 276,660.
+# as r = 1, g = 0, mu = (1,) * 27, take 9.5-14 s as a CLI run on a shared
+# 2-vCPU Xeon VM under CPython 3.11.7 (11.7, 12.6 and 14.0 s in one set of
+# three, 9.5-10.3 s in a quieter one); the largest bound in the r = 2,
+# g <= 2, d <= 20 table is 276,660.
 WORK_BUDGET = 500_000
 
 

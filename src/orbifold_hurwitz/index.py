@@ -1,7 +1,7 @@
 """The index (r, g, mu) that names one counting problem.
 
 Both counting routes, the edge-contraction recursion in
-:mod:`orbifold_hurwitz.core` and the monodromy enumeration in
+:mod:`orbifold_hurwitz.core` and the monodromy count in
 :mod:`orbifold_hurwitz.oracle`, take a :class:`HurwitzIndex`.  This module
 imports nothing from the package, so neither route has to import the
 other to share it, or to share :func:`admit`, the one budget refusal.
@@ -86,9 +86,9 @@ class HurwitzIndex:
     mu: Profile
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
             raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if not isinstance(self.g, int) or self.g < 0:
+        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 0:
             raise ValueError(f"g must be a non-negative integer, got {self.g!r}")
         parts = tuple(self.mu)
         canonical_profile(parts)

@@ -31,11 +31,12 @@ under sigma_0, tau_1, ..., tau_k): how many prefixes reach that state.  A
 step applies every transposition and merges the two orbits it joins, and
 a state from which s - k further steps can no longer reach n cycles in one
 orbit is dropped.  The tuples left at the end are those whose product has
-cycle type mu in a single orbit.  :func:`enumerate_monodromy_tuples`
-still walks every sequence; it is the brute-force reference the tests
-hold the layered count to.  Before counting, :func:`count_monodromy_tuples`
-hands :func:`~orbifold_hurwitz.index.admit` the instance's
-:func:`estimated_steps`, which refuses them over ``ORACLE_BUDGET``.
+cycle type mu in a single orbit.  This is the module's one way to
+count; the tests keep a sequence-by-sequence enumeration as the
+brute-force reference they hold it to.  Before counting,
+:func:`count_monodromy_tuples` hands :func:`~orbifold_hurwitz.index.admit`
+the instance's :func:`estimated_steps`, which refuses them over
+``ORACLE_BUDGET``.
 
 This module is deliberately independent of the edge-contraction recursion:
 it imports only :mod:`orbifold_hurwitz.index`, never
@@ -46,21 +47,16 @@ point.  Everything is deterministic and single-threaded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import comb, factorial
-from typing import Iterator
+from math import comb, factorial, prod
 
 from .index import HurwitzIndex, admit
 
 __all__ = [
     "ORACLE_BUDGET",
-    "PermutationTuple",
     "count_monodromy_tuples",
     "count_of_cycle_type",
     "cycle_type",
-    "enumerate_monodromy_tuples",
     "estimated_steps",
     "label_assignment_count",
     "raw_tuple_count",
@@ -72,23 +68,15 @@ Perm = tuple[int, ...]
 # Largest estimated_steps an instance (or a whole verify run) may have;
 # larger ones are refused before any counting.  Every instance with
 # r <= 3, d <= 12, s <= 30 that the budget of the sequence-by-sequence
-# enumeration admitted stays within it (the largest, d = 9 and s = 4,
-# estimates 15,549,760).  The estimate is a loose upper bound: the slowest
-# admitted instance found with r <= 6, d <= 14, s <= 30, r = 4, g = 2,
-# mu = (7, 1), s = 6 (23 M), took 1.4 s on a 2-vCPU Xeon with CPython 3.11.
+# enumeration (the tests' brute-force reference) admitted stays within it
+# (the largest, d = 9 and s = 4, estimates 15,549,760).  The estimate is a
+# loose upper bound: the slowest admitted instance found with r <= 6,
+# d <= 14, s <= 30, r = 4, g = 2, mu = (7, 1), s = 6 (23 M), took 1.4 s on
+# a 2-vCPU Xeon with CPython 3.11.  With counts past one word charged per
+# word, the largest admitted r = 1 instances with three, four and five
+# sheets (s = 7,030, 1,069, 125) took 0.5-1.2 s there, and r = 2 with six
+# sheets (s = 121) up to 1.9 s.
 ORACLE_BUDGET = 3 * 10**7
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Apply p first, then q."""
-    return tuple(q[v] for v in p)
-
-
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
 
 
 def _cycle_labels(p: Perm) -> list[int]:
@@ -121,14 +109,7 @@ def count_of_cycle_type(d: int, lengths: tuple[int, ...]) -> int:
     """|{p in S_d : cycle type == lengths}| = d! / prod(l) / prod(mult!)."""
     if sum(lengths) != d:
         raise ValueError("cycle lengths must sum to d")
-    denom = 1
-    mult: dict[int, int] = {}
-    for length in lengths:
-        denom *= length
-        mult[length] = mult.get(length, 0) + 1
-    for m in mult.values():
-        denom *= factorial(m)
-    return factorial(d) // denom
+    return factorial(d) // (prod(lengths) * label_assignment_count(lengths))
 
 
 def label_assignment_count(mu: tuple[int, ...]) -> int:
@@ -137,52 +118,7 @@ def label_assignment_count(mu: tuple[int, ...]) -> int:
     A permutation whose cycle lengths agree with mu as a multiset admits
     prod over distinct part sizes of (multiplicity)! labelings.
     """
-    mult: dict[int, int] = {}
-    for p in mu:
-        mult[p] = mult.get(p, 0) + 1
-    ways = 1
-    for m in mult.values():
-        ways *= factorial(m)
-    return ways
-
-
-def _enumerate_label_assignments(
-    mu: tuple[int, ...], cycle_lengths: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """All assignments pi with cycle_lengths[pi[i]] == mu[i], explicitly.
-
-    pi[i] is the cycle (by position in ``cycle_lengths``) that receives
-    label i.  Enumerated rather than computed by formula; the formula
-    value is asserted against this in the tests.
-    """
-    n = len(mu)
-    if n != len(cycle_lengths):
-        return []
-    return [
-        pi
-        for pi in permutations(range(n))
-        if all(cycle_lengths[pi[i]] == mu[i] for i in range(n))
-    ]
-
-
-def _is_transitive(d: int, generators: list[Perm]) -> bool:
-    """Orbit of the generated subgroup = connected components of i -- p(i)."""
-    parent = list(range(d))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    components = d
-    for p in generators:
-        for i in range(d):
-            ra, rb = find(i), find(p[i])
-            if ra != rb:
-                parent[ra] = rb
-                components -= 1
-    return components == 1
+    return prod(factorial(m) for m in Counter(mu).values())
 
 
 def _bell(m: int) -> int:
@@ -199,30 +135,44 @@ def _bell(m: int) -> int:
 def estimated_steps(r: int, d: int, s: int) -> int:
     """Cost model for one count (see :func:`count_monodromy_tuples`):
 
-        d * C(d, 2) * (1 + sum_{k < s} min(C(d, 2)^k, (d!/2) * Bell(d/r)))
-        + 200 * (s + 1).
+        C(d, 2) * (d + sum_{k < s} min(C(d, 2)^k, (d!/2) * Bell(d/r))
+                           * (d + k // w))
+        + 200 * (s + 1),
+
+    where w is the largest j with C(d, 2)^j < 2^64 (k // w is 0 for d <= 2).
 
     Building the C(d, 2) transpositions takes d steps each.  Layer k holds
     at most C(d, 2)^k states, one per prefix, and at most (d!/2) Bell(d/r):
     partial products of one parity times the orbit partitions coarser than
     the d/r cycles of sigma_0.  Each state takes one step per transposition,
     linear in d, and scanning the last layer costs no more than building
-    it did.  The last term charges each layer's own bookkeeping and the
-    1/(d! s!) normalization, whose s! grows with s even where no state
-    survives; it admits d = 2 up to s = 148,513, which took about 1 s on a
-    2-vCPU Xeon with CPython 3.11.
+    it did.  The counts that step k adds are at most C(d, 2)^(k+1), so
+    past the first 64-bit word they take k // w more, one step each; an
+    instance whose counts fit one word is charged d per move.  The last
+    term charges each layer's own bookkeeping and the 1/(d! s!)
+    normalization, whose s! grows with s even where no state survives; it
+    admits d = 2 up to s = 148,513, which took about 1 s on a 2-vCPU Xeon
+    with CPython 3.11.
     """
     t = comb(d, 2)
     cap = factorial(d) // 2 * _bell(d // r) if s else 0
-    widths, width = 1, 1
+    # with t < 2 every count is 1 (or there is no move at all)
+    w = max(j for j in range(1, 64) if t**j < 1 << 64) if t > 1 else s + 1
+
+    def extra_words(k: int) -> int:
+        """sum of i // w over i < k."""
+        q, rem = divmod(k, w)
+        return w * q * (q - 1) // 2 + rem * q
+
+    work, width = d, 1
     for k in range(s):
         if width >= cap or t < 2:
             # every later layer is as wide as this one
-            widths += (s - k) * min(width, cap)
+            work += min(width, cap) * (d * (s - k) + extra_words(s) - extra_words(k))
             break
-        widths += width
+        work += width * (d + k // w)
         width *= t
-    return d * t * widths + 200 * (s + 1)
+    return t * work + 200 * (s + 1)
 
 
 def steps_within(r: int, d: int, s: int, room: int) -> int | None:
@@ -238,91 +188,15 @@ def steps_within(r: int, d: int, s: int, room: int) -> int | None:
     return steps if steps <= room else None
 
 
-@dataclass(frozen=True)
-class PermutationTuple:
-    """One labeled factorization: the monodromy data of a single cover.
-
-    ``labels[i]`` is the index (into the cycles of ``sigma_inf``) of the
-    cycle carrying label i; it has length mu[i].  The defining relations
-    sigma_0 tau_1 ... tau_s sigma_inf = id and transitivity hold for
-    every tuple produced by :func:`enumerate_monodromy_tuples`.
-    """
-
-    sigma0: Perm
-    taus: tuple[Perm, ...]
-    sigma_inf: Perm
-    labels: tuple[int, ...]
-
-    def product(self) -> Perm:
-        p = self.sigma0
-        for tau in self.taus:
-            p = compose(p, tau)
-        return compose(p, self.sigma_inf)
-
-    def is_transitive(self) -> bool:
-        return _is_transitive(len(self.sigma0), [self.sigma0, *self.taus])
-
-
-def _pinned_sigma0(r: int, mu: tuple[int, ...], s: int, sigma0: Perm | None) -> Perm:
-    """Validate the data and return sigma0, or the block representative
-    (0 1 ... r-1)(r ... 2r-1)... when it is None."""
+def _pinned_sigma0(r: int, mu: tuple[int, ...], s: int) -> Perm:
+    """Validate the data and return the block representative
+    (0 1 ... r-1)(r ... 2r-1)... of type (r, ..., r)."""
     d = sum(mu)
     if d % r:
         raise ValueError("r must divide the profile degree")
     if s < 0:
         raise ValueError("s must be non-negative")
-    if sigma0 is None:
-        return tuple(v + 1 if (v + 1) % r else v + 1 - r for v in range(d))
-    if cycle_type(sigma0) != (r,) * (d // r):
-        raise ValueError("sigma0 has the wrong cycle type")
-    return sigma0
-
-
-def _factorizations(
-    sigma0: Perm, target: tuple[int, ...], s: int, require_transitive: bool
-) -> Iterator[tuple[tuple[Perm, ...], Perm]]:
-    """Yield (taus, sigma_inf) for every factorization starting with sigma0.
-
-    The taus run over all transposition sequences of length s; sigma_inf
-    is forced by the product relation and kept when its cycle type is
-    ``target`` and, if required, the tuple acts transitively.
-    """
-    d = len(sigma0)
-    for taus in product(transpositions(d), repeat=s):
-        p = sigma0
-        for tau in taus:
-            p = compose(p, tau)
-        sigma_inf = invert(p)
-        if cycle_type(sigma_inf) != target:
-            continue
-        if require_transitive and not _is_transitive(d, [sigma0, *taus]):
-            continue
-        yield taus, sigma_inf
-
-
-def enumerate_monodromy_tuples(
-    r: int,
-    mu: tuple[int, ...],
-    s: int,
-    require_transitive: bool = True,
-    sigma0: Perm | None = None,
-) -> Iterator[PermutationTuple]:
-    """Yield every labeled factorization that starts with ``sigma0``.
-
-    With ``sigma0=None`` that is the block representative
-    (0 1 ... r-1)(r ... 2r-1)...; the tuples of any other sigma_0 of type
-    (r, ..., r) are their conjugates, so ``raw_tuple_count`` is the number
-    yielded here times ``count_of_cycle_type(d, (r,) * m)``.  Each valid
-    cycle labeling is yielded separately.  The transitivity filter can be
-    dropped for diagnostics.
-    """
-    pinned = _pinned_sigma0(r, mu, s, sigma0)
-    target = tuple(sorted(mu, reverse=True))
-    for taus, sigma_inf in _factorizations(pinned, target, s, require_transitive):
-        # the cycle lengths, in the order of each cycle's smallest point
-        lengths = tuple(Counter(_cycle_labels(sigma_inf)).values())
-        for labels in _enumerate_label_assignments(mu, lengths):
-            yield PermutationTuple(pinned, taus, sigma_inf, labels)
+    return tuple(v + 1 if (v + 1) % r else v + 1 - r for v in range(d))
 
 
 def _layered_count(
@@ -391,29 +265,21 @@ def _layered_count(
 
 
 def raw_tuple_count(
-    r: int,
-    mu: tuple[int, ...],
-    s: int,
-    require_transitive: bool = True,
-    sigma0: Perm | None = None,
+    r: int, mu: tuple[int, ...], s: int, require_transitive: bool = True
 ) -> int:
     """Labeled monodromy tuples for the given data.
 
     Counts tuples (sigma_0, tau_1, ..., tau_s) with sigma_0 of type
     (r, ..., r), tau_k transpositions, whose product inverse has cycle
-    type mu, weighted by the :func:`label_assignment_count` labelings.  With
-    ``sigma0`` given, only the tuples starting with it count; otherwise
-    every sigma_0 of the type does, as the block representative's count
-    times the class size.  The transitivity filter can be dropped for
-    diagnostics.
+    type mu, weighted by the :func:`label_assignment_count` labelings:
+    the block representative's count times the class size.  The
+    transitivity filter can be dropped for diagnostics.
     """
-    pinned = _pinned_sigma0(r, mu, s, sigma0)
+    pinned = _pinned_sigma0(r, mu, s)
     target = tuple(sorted(mu, reverse=True))
+    d = len(pinned)
     count = _layered_count(pinned, target, s, require_transitive)
-    if sigma0 is None:
-        d = len(pinned)
-        count *= count_of_cycle_type(d, (r,) * (d // r))
-    return count * label_assignment_count(mu)
+    return count * count_of_cycle_type(d, (r,) * (d // r)) * label_assignment_count(mu)
 
 
 def count_monodromy_tuples(idx: HurwitzIndex) -> Fraction:

@@ -63,6 +63,9 @@ def test_index_derived_fields():
         dict(r=1, g=0, mu=()),
         dict(r=1, g=0, mu=(0,)),
         dict(r=1, g=0, mu=(2, -1)),
+        dict(r=True, g=False, mu=(2,)),
+        dict(r=True, g=0, mu=(2,)),
+        dict(r=1, g=False, mu=(2,)),
     ],
 )
 def test_index_validation(bad):
