@@ -17,8 +17,9 @@ where they are declared, and :func:`main` turns every refusal the
 library raises, a ``ValueError`` or a ``BudgetExceededError`` from a
 query over the recursion, oracle or series budget, into exit 2 with one
 ``error:`` line.  Each layer refuses its own over-budget queries before
-any work; a command with many queries admits its costliest one, or for
-``verify`` every suite, before its first value.
+any work; ``table`` admits the numbers of its costliest row, and
+``verify`` runs every suite's check from :mod:`~orbifold_hurwitz.verify`,
+for every r, before its first value.
 """
 
 from __future__ import annotations
@@ -30,16 +31,10 @@ import os
 import sys
 
 from . import verify
-from .core import WORK_BUDGET, MemoTable, arrowed_hurwitz, check_budget, orbifold_hurwitz, partitions
-from .index import BudgetExceededError, HurwitzIndex, admit
+from .core import MemoTable, arrowed_hurwitz, check_budget, orbifold_hurwitz, partitions
+from .index import BudgetExceededError, HurwitzIndex
 from .report import VerificationReport
-from .series import (
-    SERIES_BUDGET,
-    f01_closed_in_z,
-    f02_closed_in_z,
-    series_cost,
-    spectral_curve_y_of_x,
-)
+from .series import f01_closed_in_z, f02_closed_in_z, spectral_curve_y_of_x
 from .verify import (
     verify_against_oracle,
     verify_cayley,
@@ -133,12 +128,10 @@ def _cmd_table(args) -> int:
     if g_max < args.genus:
         raise ValueError("--genus-max must be at least --genus")
     # The row (1, ..., 1) at the top genus and degree has the largest cost
-    # bound.  No degree over WORK_BUDGET fits, so past that many parts the
-    # check takes the row of that degree with WORK_BUDGET parts instead.
+    # bound: the most parts of the largest degree.
     top = args.degree_max - args.degree_max % args.r
     if top:
-        n = min(top, WORK_BUDGET)
-        check_budget(HurwitzIndex(args.r, g_max, (top - n + 1,) + (1,) * (n - 1)))
+        check_budget(args.r, g_max, top, top)
     rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
 
     def render(stream) -> None:
@@ -206,65 +199,32 @@ def _cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _order(args, default: int) -> int:
-    return default if args.order is None else args.order
-
-
-def _series(suite: str, r: int, order: int, least: int, cost: int) -> None:
-    what = f"suite {suite} --r {r}"
-    if order < least:
-        raise ValueError(f"{what}: order {order} is below the least order {least}")
-    admit(what, cost, SERIES_BUDGET, "series")
-
-
-# The verify suites, in the order ``all`` runs them: runner(args, r, memo),
-# whether it runs once per r, and check(args, r), which refuses the suite
-# up front: its costliest recursion query, its oracle run, or its series
-# order (at least 2r for ode/f01, max(2, r) for f02/pde) and cost.  The
-# runners look the verify_* names up in this module when they are called.
-# The checks reach verify's other functions through the module:
-# perfbench/spans.py takes every function imported by name from verify
-# for a suite that returns a report.  verify_f01 is held to the Horner
-# cost of ``f01_from_counts``, the r = 1 curve's count (see
-# ``series_cost``).
+# The verify suites, in the order ``all`` runs them: arguments(args), the
+# argument tuple of each run (one per r but for cayley and oracle), and
+# runner(arguments, memo), which looks its verify_* name up in this module
+# when called.  Checks are reached as ``verify.SUITE_CHECKS``, since
+# perfbench/spans.py takes every function imported by name from verify for
+# a suite that returns a report.
 VERIFY_SUITES = {
-    "jpt": (lambda a, r, m: verify_jpt(r, max(a.max_degree, r), m), True,
-            lambda a, r: check_budget(verify.jpt_costliest(r, max(a.max_degree, r)))),
-    "cayley": (lambda a, r, m: verify_cayley(a.max, m), False,
-               lambda a, r: check_budget(verify.cayley_costliest(a.max))),
-    "oracle": (lambda a, r, m: verify_against_oracle(a.r, a.d_max, a.s_max, m), False,
-               lambda a, r: verify.oracle_cases(a.r, a.d_max, a.s_max)),
-    "f01": (lambda a, r, m: verify_f01(r, _order(a, 12), m), True,
-            lambda a, r: _series("f01", r, _order(a, 12), 2 * r,
-                                 series_cost("curve", 1, _order(a, 12)))),
-    "f02": (lambda a, r, m: verify_f02(r, a.total_order, m), True,
-            lambda a, r: _series("f02", r, a.total_order, max(2, r),
-                                 series_cost("f02", r, a.total_order))),
-    "ode": (lambda a, r, m: verify_spectral_ode(r, _order(a, 20)), True,
-            lambda a, r: _series("ode", r, _order(a, 20), 2 * r,
-                                 series_cost("curve", r, _order(a, 20)))),
-    "pde": (lambda a, r, m: verify_f02_pde(r, a.total_order), True,
-            lambda a, r: _series("pde", r, a.total_order, max(2, r),
-                                 series_cost("f02", r, a.total_order))),
-    "scaling": (lambda a, r, m: verify_r_scaling(r, a.m_max, m), True,
-                lambda a, r: check_budget(verify.scaling_costliest(r, a.m_max))),
+    "jpt": (lambda a: [(r, max(a.max_degree, r)) for r in a.r], lambda x, m: verify_jpt(*x, m)),
+    "cayley": (lambda a: [(a.max,)], lambda x, m: verify_cayley(*x, m)),
+    "oracle": (lambda a: [(a.r, a.d_max, a.s_max)], lambda x, m: verify_against_oracle(*x, m)),
+    "f01": (lambda a: [(r, a.order or 12) for r in a.r], lambda x, m: verify_f01(*x, m)),
+    "f02": (lambda a: [(r, a.total_order) for r in a.r], lambda x, m: verify_f02(*x, m)),
+    "ode": (lambda a: [(r, a.order or 20) for r in a.r], lambda x, m: verify_spectral_ode(*x)),
+    "pde": (lambda a: [(r, a.total_order) for r in a.r], lambda x, m: verify_f02_pde(*x)),
+    "scaling": (lambda a: [(r, a.m_max) for r in a.r], lambda x, m: verify_r_scaling(*x, m)),
 }
 
 
 def _run_suites(args) -> list[VerificationReport]:
     wanted = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    runs = [(suite, x) for suite in wanted for x in VERIFY_SUITES[suite][0](args)]
     # Every suite is admitted, for every r, before any suite runs.
-    for suite in wanted:
-        _, per_r, check = VERIFY_SUITES[suite]
-        for r in args.r if per_r else (None,):
-            check(args, r)
+    for suite, x in runs:
+        verify.SUITE_CHECKS[suite](*x)
     memo = MemoTable()
-    reports: list[VerificationReport] = []
-    for suite in wanted:
-        run, per_r, _ = VERIFY_SUITES[suite]
-        for r in args.r if per_r else (None,):
-            reports.append(run(args, r, memo))
-    return reports
+    return [VERIFY_SUITES[suite][1](x, memo) for suite, x in runs]
 
 
 def _cmd_verify(args) -> int:
@@ -311,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("--r", type=positive, required=True)
     p_table.add_argument("--genus", type=non_negative, default=0, help="smallest genus")
-    p_table.add_argument("--genus-max", type=int, default=None)
+    p_table.add_argument("--genus-max", type=non_negative, default=None)
     p_table.add_argument("--degree-max", type=positive, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--output", type=str, default=None, help="default: stdout")

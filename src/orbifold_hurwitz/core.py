@@ -309,20 +309,21 @@ def _cost_bound(r: int, g: int, d: int, parts: int) -> int | None:
     return cost
 
 
-def check_budget(idx: HurwitzIndex) -> int:
-    """The cost bound of ``idx``; raises :class:`BudgetExceededError` when
-    it exceeds WORK_BUDGET.
+def check_budget(r: int, g: int, d: int, n: int) -> int:
+    """The cost bound of a query (r, g, mu) with n parts of degree d;
+    raises :class:`BudgetExceededError` when it exceeds WORK_BUDGET.
 
-    The bound grows with g, d and the number of parts, so a caller with
-    many queries can check its costliest one before doing any work.
-    Queries with s = 0 (the seed or 0) and those with r not dividing d
-    (0) evaluate nothing and always pass, at cost 0.
+    The bound grows with g, d and n, so a caller with many queries can
+    check the largest of each before doing any work.  Queries with
+    s = 2g - 2 + d/r + n = 0 (the seed or 0) and those with r not
+    dividing d (0) evaluate nothing and always pass, at cost 0.
     """
-    r, g = idx.r, idx.g
-    if not edge_count(r, g, idx.mu):
+    if r < 1 or g < 0 or not 1 <= n <= d:
+        raise ValueError(f"no query has r={r} g={g} d={d} n={n}")
+    if d % r or 2 * g - 2 + d // r + n == 0:
         return 0
-    what = f"r={r} g={g} d={idx.d} n={idx.n}"
-    return admit(what, _cost_bound(r, g, idx.d, idx.n + g), WORK_BUDGET, "recursion")
+    what = f"r={r} g={g} d={d} n={n}"
+    return admit(what, _cost_bound(r, g, d, n + g), WORK_BUDGET, "recursion")
 
 
 def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fraction:
@@ -342,7 +343,7 @@ def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fractio
     s = edge_count(r, g, mu)
     if s is None:
         return _ZERO
-    check_budget(idx)
+    check_budget(r, g, idx.d, idx.n)
     return Fraction(_scaled(r, g, mu, memo._table), factorial(s))
 
 
@@ -373,7 +374,7 @@ def tree_number(d: int) -> int:
         raise ValueError("d must be a positive integer")
     if d == 1:
         return 1
-    check_budget(HurwitzIndex(1, 0, (d,)))
+    check_budget(1, 0, d, 1)
     for smaller in range(2, d):
         tree_number(smaller)
     rhs = 0

@@ -648,7 +648,7 @@ def f01_from_counts(
 
 def f01_in_x(r: int, order: int, memo: MemoTable | None = None) -> Series1:
     """sum_d (count(d)/d) x^d; its Euler derivative x d/dx recovers y(x)."""
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     counts = _one_part_counts(r, order, memo)
     return Series1(
         [_ZERO] + [counts[d - 1] / d for d in range(1, order + 1)], order, "x"
@@ -680,7 +680,7 @@ def f02_from_counts(
     if total_order < 2:
         raise ValueError("total order must be at least 2")
     _admit(f"f02 from counts r={r} order={total_order}", series_cost("f02", r, total_order))
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     n = total_order
     x = x_of_z(r, n - 1)
     powers = [None, _scaled(x.coefficients)]

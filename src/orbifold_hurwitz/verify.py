@@ -4,6 +4,11 @@ Each suite compares two independent routes to the same numbers (recursion
 vs closed form, recursion vs monodromy count, closed-form series vs
 count-built series, or a series identity vs the zero series) and returns
 a :class:`~orbifold_hurwitz.report.VerificationReport`.
+
+Each suite's check, in :data:`SUITE_CHECKS` under its ``--suite`` name,
+refuses the suite's arguments (all but the memo) before any work, with a
+``ValueError`` or a ``BudgetExceededError``.  Each ``verify_*`` runs its
+check first; the CLI runs every check before any suite.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .index import HurwitzIndex, admit, edge_count
 from .oracle import ORACLE_BUDGET, count_monodromy_tuples, steps_within
 from .report import VerificationReport
 from .series import (
+    SERIES_BUDGET,
     f01_closed_in_z,
     f01_from_counts,
     f01_in_x,
@@ -32,6 +38,7 @@ from .series import (
     f02_from_counts,
     f02_pde_residual,
     lambert_functional_residual,
+    series_cost,
     spectral_curve_y_of_x,
     spectral_ode_residual,
 )
@@ -50,21 +57,79 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def jpt_costliest(r: int, d_max: int) -> HurwitzIndex:
-    """The costliest query of :func:`verify_jpt`: the largest degree, with
-    two parts if it has any."""
+def _jpt_check(r: int, d_max: int) -> int:
+    """:func:`verify_jpt`'s costliest query: the top degree, in two parts if it can."""
+    if d_max < r:
+        raise ValueError("d_max must be at least r")
     top = d_max - d_max % r
-    return HurwitzIndex(r, 0, (top - 1, 1) if top > 1 else (top,))
+    return check_budget(r, 0, top, min(top, 2))
 
 
-def cayley_costliest(d_max: int) -> HurwitzIndex:
-    """The costliest query of :func:`verify_cayley`."""
-    return HurwitzIndex(1, 0, (d_max,))
+def _cayley_check(d_max: int) -> int:
+    if d_max < 1:
+        raise ValueError("d_max must be positive")
+    return check_budget(1, 0, d_max, 1)
 
 
-def scaling_costliest(r: int, m_max: int) -> HurwitzIndex:
-    """The costliest query of :func:`verify_r_scaling`."""
-    return HurwitzIndex(r, 0, (r * m_max,))
+def _scaling_check(r: int, m_max: int) -> int:
+    if m_max < 1:
+        raise ValueError("m_max must be positive")
+    return check_budget(r, 0, r * m_max, 1)
+
+
+def _series_check(suite: str, r: int, order: int, least: int, cost: int) -> int:
+    what = f"suite {suite} --r {r}"
+    if order < least:
+        raise ValueError(f"{what}: order {order} is below the least order {least}")
+    return admit(what, cost, SERIES_BUDGET, "series")
+
+
+def oracle_cases(
+    r_set: tuple[int, ...] | list[int], d_max: int, s_max: int
+) -> tuple[list[HurwitzIndex], int]:
+    """Every admissible (r, g, mu) with d <= d_max and s <= s_max, in the
+    order the oracle suite checks them, and the run's estimated steps.
+
+    Since s >= d/r + n - 2, only d <= r (s_max + 1) and profiles of at
+    most s_max + 2 - d/r parts have cases.  The run's estimate is the sum
+    of the cases' ``estimated_steps``; it goes through
+    :func:`~orbifold_hurwitz.index.admit` case by case, so a run over
+    ``ORACLE_BUDGET`` is refused as soon as the sum passes it, before
+    anything is counted.
+    """
+    if d_max < 1 or s_max < 0:
+        raise ValueError("budgets must be positive")
+    run = f"oracle suite d_max={d_max} s_max={s_max}"
+    cases: list[HurwitzIndex] = []
+    steps = 0
+    for r in sorted(set(r_set)):
+        for d in range(r, min(d_max, r * (s_max + 1)) + 1, r):
+            for mu in partitions(d, max_parts=s_max + 2 - d // r):
+                g = 0
+                while (s := edge_count(r, g, mu)) <= s_max:
+                    case = steps_within(r, d, s, ORACLE_BUDGET - steps)
+                    total = None if case is None else steps + case
+                    steps = admit(run, total, ORACLE_BUDGET, "oracle")
+                    cases.append(HurwitzIndex(r, g, mu))
+                    g += 1
+    return cases, steps
+
+
+# Each suite's check by its --suite name: the recursion suites admit their
+# costliest query, the oracle suite its whole run (and returns its cases),
+# the series suites their least order (2r for ode/f01, max(2, r) for
+# f02/pde) and their series_cost.  f01 is held to the Horner cost of
+# ``f01_from_counts``, the r = 1 curve's count (see ``series_cost``).
+SUITE_CHECKS = {
+    "jpt": _jpt_check,
+    "cayley": _cayley_check,
+    "oracle": oracle_cases,
+    "f01": lambda r, order: _series_check("f01", r, order, 2 * r, series_cost("curve", 1, order)),
+    "f02": lambda r, order: _series_check("f02", r, order, max(2, r), series_cost("f02", r, order)),
+    "ode": lambda r, order: _series_check("ode", r, order, 2 * r, series_cost("curve", r, order)),
+    "pde": lambda r, order: _series_check("pde", r, order, max(2, r), series_cost("f02", r, order)),
+    "scaling": _scaling_check,
+}
 
 
 def verify_jpt(r: int, d_max: int, memo: MemoTable | None = None) -> VerificationReport:
@@ -74,10 +139,8 @@ def verify_jpt(r: int, d_max: int, memo: MemoTable | None = None) -> Verificatio
     (a, d - a); divisibility-violating profiles are excluded since both
     routes define them to be zero.
     """
-    if d_max < r:
-        raise ValueError("d_max must be at least r")
-    check_budget(jpt_costliest(r, d_max))
-    memo = memo or MemoTable()
+    SUITE_CHECKS["jpt"](r, d_max)
+    memo = MemoTable() if memo is None else memo
     report = VerificationReport(f"jpt r={r} d_max={d_max}")
     for d in range(r, d_max + 1, r):
         report.check(
@@ -96,10 +159,8 @@ def verify_jpt(r: int, d_max: int, memo: MemoTable | None = None) -> Verificatio
 
 def verify_cayley(d_max: int, memo: MemoTable | None = None) -> VerificationReport:
     """Tree counts vs the closed power formula and vs the one-part recursion."""
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
-    check_budget(cayley_costliest(d_max))
-    memo = memo or MemoTable()
+    SUITE_CHECKS["cayley"](d_max)
+    memo = MemoTable() if memo is None else memo
     report = VerificationReport(f"cayley d_max={d_max}")
     for d in range(1, d_max + 1):
         closed = d ** (d - 2) if d >= 2 else 1
@@ -114,10 +175,8 @@ def verify_r_scaling(
 ) -> VerificationReport:
     """The rescaled one-part counts a_m = r * count(r m) close under the
     r = 1 quadratic recursion, seeded at a_1 = r."""
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
-    check_budget(scaling_costliest(r, m_max))
-    memo = memo or MemoTable()
+    SUITE_CHECKS["scaling"](r, m_max)
+    memo = MemoTable() if memo is None else memo
     report = VerificationReport(f"scaling r={r} m_max={m_max}")
     a = [None] + [
         r * arrowed_hurwitz(HurwitzIndex(r, 0, (r * m,)), memo)
@@ -134,8 +193,7 @@ def verify_r_scaling(
 def verify_spectral_ode(r: int, order: int) -> VerificationReport:
     """The curve series kills both its first-order ODE and the defining
     functional equation, order by order."""
-    if order < 2 * r:
-        raise ValueError("order must be at least 2r")
+    SUITE_CHECKS["ode"](r, order)
     report = VerificationReport(f"ode r={r} order={order}")
     curve = spectral_curve_y_of_x(r, order)
     ode = spectral_ode_residual(r, curve)
@@ -152,9 +210,8 @@ def verify_f01(
 ) -> VerificationReport:
     """Closed form of the one-point energy vs the count-built series,
     plus the Euler-derivative bridge back to the curve."""
-    if order < 2 * r:
-        raise ValueError("order must be at least 2r")
-    memo = memo or MemoTable()
+    SUITE_CHECKS["f01"](r, order)
+    memo = MemoTable() if memo is None else memo
     report = VerificationReport(f"f01 r={r} order={order}")
     closed = f01_closed_in_z(r, order)
     counted = f01_from_counts(r, order, memo)
@@ -180,9 +237,8 @@ def verify_f02(
 ) -> VerificationReport:
     """Closed form of the two-point energy vs the count-built series,
     coefficient by coefficient, plus boundary and symmetry checks."""
-    if total_order < max(2, r):
-        raise ValueError("total order too small")
-    memo = memo or MemoTable()
+    SUITE_CHECKS["f02"](r, total_order)
+    memo = MemoTable() if memo is None else memo
     report = VerificationReport(f"f02 r={r} total_order={total_order}")
     closed = f02_closed_in_z(r, total_order)
     counted = f02_from_counts(r, total_order, memo)
@@ -201,8 +257,7 @@ def verify_f02(
 
 def verify_f02_pde(r: int, total_order: int) -> VerificationReport:
     """The closed two-point energy satisfies its first-order PDE exactly."""
-    if total_order < max(2, r):
-        raise ValueError("total order too small")
+    SUITE_CHECKS["pde"](r, total_order)
     report = VerificationReport(f"pde r={r} total_order={total_order}")
     residual = f02_pde_residual(r, total_order)
     for i in range(total_order + 1):
@@ -213,35 +268,6 @@ def verify_f02_pde(r: int, total_order: int) -> VerificationReport:
                 residual.coefficient(i, j),
             )
     return report
-
-
-def oracle_cases(
-    r_set: tuple[int, ...] | list[int], d_max: int, s_max: int
-) -> tuple[list[HurwitzIndex], int]:
-    """Every admissible (r, g, mu) with d <= d_max and s <= s_max, in the
-    order the oracle suite checks them, and the run's estimated steps.
-
-    Since s >= d/r + n - 2, only d <= r (s_max + 1) and profiles of at
-    most s_max + 2 - d/r parts have cases.  The run's estimate is the sum
-    of the cases' ``estimated_steps``; it goes through
-    :func:`~orbifold_hurwitz.index.admit` case by case, so a run over
-    ``ORACLE_BUDGET`` is refused as soon as the sum passes it, before
-    anything is counted.
-    """
-    run = f"oracle suite d_max={d_max} s_max={s_max}"
-    cases: list[HurwitzIndex] = []
-    steps = 0
-    for r in sorted(set(r_set)):
-        for d in range(r, min(d_max, r * (s_max + 1)) + 1, r):
-            for mu in partitions(d, max_parts=s_max + 2 - d // r):
-                g = 0
-                while (s := edge_count(r, g, mu)) <= s_max:
-                    case = steps_within(r, d, s, ORACLE_BUDGET - steps)
-                    total = None if case is None else steps + case
-                    steps = admit(run, total, ORACLE_BUDGET, "oracle")
-                    cases.append(HurwitzIndex(r, g, mu))
-                    g += 1
-    return cases, steps
 
 
 def verify_against_oracle(
@@ -257,15 +283,13 @@ def verify_against_oracle(
     the oracle's budget; a case over the recursion's budget is refused
     too, each with :class:`~orbifold_hurwitz.index.BudgetExceededError`.
     """
-    if d_max < 1 or s_max < 0:
-        raise ValueError("budgets must be positive")
-    memo = memo or MemoTable()
+    memo = MemoTable() if memo is None else memo
     report = VerificationReport(
         "oracle r={{{0}}} d_max={1} s_max={2}".format(
             ",".join(str(r) for r in sorted(set(r_set))), d_max, s_max
         )
     )
-    for idx in oracle_cases(r_set, d_max, s_max)[0]:
+    for idx in SUITE_CHECKS["oracle"](r_set, d_max, s_max)[0]:
         report.check(
             f"r={idx.r} g={idx.g} mu={idx.mu}",
             orbifold_hurwitz(idx, memo),

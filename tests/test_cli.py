@@ -8,14 +8,11 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
-from orbifold_hurwitz import cli
+from orbifold_hurwitz import cli, series, verify
+from orbifold_hurwitz.index import BudgetExceededError
 from orbifold_hurwitz.report import VerificationReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -81,8 +78,7 @@ def test_compute_json_fields_and_round_trip():
     }
     # reprinting with the CLI's formatter is byte-identical
     assert cli.dump_json(payload) + "\n" == proc.stdout
-    if jsonschema:
-        jsonschema.validate(payload, load_schema("compute"))
+    jsonschema.validate(payload, load_schema("compute"))
 
 
 def test_compute_json_non_divisible_has_null_m_s():
@@ -135,8 +131,7 @@ def test_table_json_rows():
     proc = run_cli("table", "--r", "2", "--genus", "0", "--degree-max", "2", "--format", "json")
     rows = json.loads(proc.stdout)
     assert {"r": 2, "g": 0, "mu": [2], "n": 1, "d": 2, "s": 0, "arrowed": "1", "hurwitz": "1/2"} in rows
-    if jsonschema:
-        jsonschema.validate(rows, load_schema("table"))
+    jsonschema.validate(rows, load_schema("table"))
     assert cli.dump_json(rows) + "\n" == proc.stdout
 
 
@@ -171,6 +166,12 @@ def test_table_bad_genus_range_exits_2():
         "table", "--r", "1", "--genus", "2", "--genus-max", "1", "--degree-max", "2"
     )
     assert proc.returncode == 2
+    assert "--genus-max must be at least --genus" in proc.stderr
+    # a negative --genus-max is refused where the flag is declared
+    proc = run_cli("table", "--r", "1", "--genus-max", "-1", "--degree-max", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --genus-max: must be at least 0, got '-1'" in proc.stderr
 
 
 # sha256 of the table stdout for g <= 2, d <= 12, recorded from the
@@ -239,7 +240,7 @@ def test_table_over_budget_exits_2():
         (("--r", "1", "--degree-max", "30", "--genus-max", "0"), "d=30 n=30"),
         (("--r", "2", "--genus", "1", "--genus-max", "4", "--degree-max", "21"), "g=4 d=20 n=20"),
         # no all-ones row of 10^9 parts is built to find that out
-        (("--r", "1", "--degree-max", "1000000000"), "d=1000000000 n=500000"),
+        (("--r", "1", "--degree-max", "1000000000"), "d=1000000000 n=1000000000"),
     ],
 )
 def test_table_admitted_whole_before_the_first_row(argv, refused):
@@ -288,8 +289,7 @@ def test_series_json_round_trip_and_schema():
     payload = json.loads(proc.stdout)
     assert payload["variables"] == ["z1", "z2"]
     assert {"exponents": [1, 1], "coefficient": "1"} in payload["terms"]
-    if jsonschema:
-        jsonschema.validate(payload, load_schema("series"))
+    jsonschema.validate(payload, load_schema("series"))
     assert cli.dump_json(payload) + "\n" == proc.stdout
 
 
@@ -387,13 +387,13 @@ def test_series_over_budget_refused_before_any_work(which, r, order):
 
 
 def test_series_budget_admits_the_documented_largest_dumps():
-    assert cli.series_cost("curve", 1, 143) <= cli.SERIES_BUDGET
-    assert cli.series_cost("curve", 1, 144) > cli.SERIES_BUDGET
-    assert cli.series_cost("f02", 1, 74) <= cli.SERIES_BUDGET
-    assert cli.series_cost("f02", 1, 75) > cli.SERIES_BUDGET
+    assert series.series_cost("curve", 1, 143) <= series.SERIES_BUDGET
+    assert series.series_cost("curve", 1, 144) > series.SERIES_BUDGET
+    assert series.series_cost("f02", 1, 74) <= series.SERIES_BUDGET
+    assert series.series_cost("f02", 1, 75) > series.SERIES_BUDGET
     # the verify-series benchmark orders, as series dumps, fit with room
-    assert cli.series_cost("curve", 1, 80) <= cli.SERIES_BUDGET
-    assert cli.series_cost("f02", 1, 23) <= cli.SERIES_BUDGET
+    assert series.series_cost("curve", 1, 80) <= series.SERIES_BUDGET
+    assert series.series_cost("f02", 1, 23) <= series.SERIES_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +426,7 @@ def test_verify_json_schema_and_round_trip():
     assert proc.returncode == 0
     reports = json.loads(proc.stdout)
     assert all(r["summary"]["pass"] for r in reports)
-    if jsonschema:
-        jsonschema.validate(reports, load_schema("verify"))
+    jsonschema.validate(reports, load_schema("verify"))
     assert cli.dump_json(reports) + "\n" == proc.stdout
     # report objects reconstruct losslessly from their serialization
     rebuilt = [VerificationReport.from_dict(r) for r in reports]
@@ -565,9 +564,9 @@ def test_verify_oracle_lists_only_degrees_with_cases(capsys):
 
 def test_verify_series_budget_admits_the_benchmark_orders():
     # verify-series runs ode at order 80 and pde/f02 at total order 22
-    assert cli.series_cost("curve", 1, 80) == 259_281
-    assert cli.series_cost("f02", 1, 22) == 14_950
-    assert max(259_281, 14_950) <= cli.SERIES_BUDGET
+    assert series.series_cost("curve", 1, 80) == 259_281
+    assert series.series_cost("f02", 1, 22) == 14_950
+    assert max(259_281, 14_950) <= series.SERIES_BUDGET
 
 
 def test_verify_bad_flags_exit_2():
@@ -648,6 +647,46 @@ def test_verify_series_order_refused_before_any_suite_runs(monkeypatch, capsys, 
     assert not [line for line in captured.out.splitlines() if line.startswith("suite ")]
     assert f"{refused}: order" in captured.err and "least order" in captured.err
     assert called == []
+
+
+@pytest.mark.parametrize(
+    "runner, args, argv",
+    [
+        ("verify_jpt", (1, 200), ("--suite", "jpt", "--r", "1", "--max-degree", "200")),
+        ("verify_cayley", (3000,), ("--suite", "cayley", "--max", "3000")),
+        ("verify_against_oracle", ((1,), 6, 8),
+         ("--suite", "oracle", "--r", "1", "--d-max", "6", "--s-max", "8")),
+        ("verify_f01", (2, 3), ("--suite", "f01", "--r", "2", "--order", "3")),
+        ("verify_f01", (1, 144), ("--suite", "f01", "--r", "1", "--order", "144")),
+        ("verify_f02", (3, 2), ("--suite", "f02", "--r", "3", "--total-order", "2")),
+        ("verify_spectral_ode", (2, 3), ("--suite", "ode", "--r", "2", "--order", "3")),
+        ("verify_f02_pde", (1, 120), ("--suite", "pde", "--r", "1", "--total-order", "120")),
+        ("verify_r_scaling", (1, 800), ("--suite", "scaling", "--r", "1", "--m-max", "800")),
+    ],
+)
+def test_verify_library_and_cli_refuse_a_suite_alike(capsys, runner, args, argv):
+    with pytest.raises((ValueError, BudgetExceededError)) as raised:
+        getattr(verify, runner)(*args)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["verify", *argv])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {raised.value}\n")
+
+
+def test_verify_checks_each_run_up_front_and_again_in_its_runner(monkeypatch, capsys):
+    calls = []
+    for suite, check in list(verify.SUITE_CHECKS.items()):
+        def recorded(*args, suite=suite, check=check):
+            calls.append((suite, args))
+            return check(*args)
+
+        monkeypatch.setitem(verify.SUITE_CHECKS, suite, recorded)
+    assert cli.main(["verify", "--suite", "all", "--r", "2,1", "--max-degree", "1"]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+    runs = [("jpt", (2, 2)), ("jpt", (1, 1)), ("cayley", (12,)), ("oracle", ((2, 1), 4, 4))]
+    for suite, order in (("f01", 12), ("f02", 10), ("ode", 20), ("pde", 10), ("scaling", 6)):
+        runs += [(suite, (2, order)), (suite, (1, order))]
+    assert calls == runs + runs
 
 
 def test_verify_failure_exits_1(monkeypatch):

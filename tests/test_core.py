@@ -309,20 +309,30 @@ def test_budget_refuses_before_evaluating():
 
 
 def test_check_budget_is_the_refusal_every_query_passes():
-    check_budget(HurwitzIndex(1, 0, (707,)))
-    for idx in (HurwitzIndex(1, 0, (708,)), HurwitzIndex(1, 0, (199, 1))):
-        with pytest.raises(BudgetExceededError, match=f"d={idx.d} n={idx.n}"):
-            check_budget(idx)
+    check_budget(1, 0, 707, 1)
+    # (708,) and (199, 1)
+    for d, n in ((708, 1), (200, 2)):
+        with pytest.raises(BudgetExceededError, match=f"d={d} n={n}"):
+            check_budget(1, 0, d, n)
     # s = 0 and r not dividing d evaluate nothing, however large the degree
-    check_budget(HurwitzIndex(10**6, 0, (10**6,)))
-    check_budget(HurwitzIndex(2, 0, (10**6 + 1,)))
+    check_budget(10**6, 0, 10**6, 1)
+    check_budget(2, 0, 10**6 + 1, 1)
+
+
+@pytest.mark.parametrize(
+    "numbers", [(0, 0, 1, 1), (1, -1, 4, 1), (1, 0, 5, 0), (1, 1, 0, 1), (1, 0, 2, 3)]
+)
+def test_check_budget_refuses_numbers_no_query_has(numbers):
+    with pytest.raises(ValueError, match="no query has"):
+        check_budget(*numbers)
 
 
 def test_check_budget_returns_the_planned_cost():
-    # the costliest rows of the two table-sweep benchmark tables
-    assert check_budget(HurwitzIndex(1, 2, (1,) * 16)) == 131_616
-    assert check_budget(HurwitzIndex(2, 2, (1,) * 20)) == 276_660
-    assert check_budget(HurwitzIndex(10**6, 0, (10**6,))) == 0
+    # the costliest rows of the two table-sweep benchmark tables, (1,) * 16
+    # at r = 1 and (1,) * 20 at r = 2, both at g = 2
+    assert check_budget(1, 2, 16, 16) == 131_616
+    assert check_budget(2, 2, 20, 20) == 276_660
+    assert check_budget(10**6, 0, 10**6, 1) == 0
 
 
 @pytest.mark.parametrize("d", [708, 3000, 10**6])

@@ -30,6 +30,7 @@ from orbifold_hurwitz import (
     verify_f01,
     verify_f02,
     verify_f02_pde,
+    verify_jpt,
     verify_spectral_ode,
     x_of_z,
 )
@@ -369,6 +370,16 @@ def test_series_over_budget_refused_at_entry(build):
         build(memo)
     assert time.perf_counter() - started < 1
     assert len(memo) == 0
+
+
+def test_an_empty_memo_from_the_caller_is_filled():
+    # an empty MemoTable is falsy; it must still be the table that is used
+    memo = MemoTable()
+    assert verify_jpt(1, 6, memo).passed
+    assert len(memo) > 0
+    memo = MemoTable()
+    f01_from_counts(1, 12, memo)
+    assert len(memo) > 0
 
 
 # ---------------------------------------------------------------------------
