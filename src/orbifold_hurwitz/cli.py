@@ -128,11 +128,12 @@ def _cmd_table(args) -> int:
     if g_max < args.genus:
         raise ValueError("--genus-max must be at least --genus")
     # The row (1, ..., 1) at the top genus and degree has the largest cost
-    # bound: the most parts of the largest degree.
+    # bound: the most parts of the largest degree.  No degree, no rows.
     top = args.degree_max - args.degree_max % args.r
+    rows = []
     if top:
         check_budget(args.r, g_max, top, top)
-    rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
+        rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
 
     def render(stream) -> None:
         if args.format == "csv":
@@ -162,16 +163,16 @@ def _cmd_table(args) -> int:
 
 
 def _series_terms(which: str, r: int, order: int):
-    """(exponents, coefficient) pairs; zero coefficients are omitted."""
-    if which in ("curve", "w01"):
-        # w01 = y(x) dx/x has the curve's coefficients; it is an alias.
-        y = spectral_curve_y_of_x(r, order)
-        return "x", [((d,), c) for d, c in enumerate(y.coefficients) if c]
+    """The variables of the series ``which`` at ``order`` and its
+    (exponents, coefficient) pairs; zero coefficients are omitted."""
+    if which == "f02":
+        return "z1,z2", list(f02_closed_in_z(r, order).terms())
     if which == "f01":
-        f = f01_closed_in_z(r, max(order, r))
-        return "z", [((d,), c) for d, c in enumerate(f.coefficients) if c and d <= order]
-    f = f02_closed_in_z(r, max(order, 2, r))
-    return "z1,z2", [(ij, c) for ij, c in f.terms() if sum(ij) <= order]
+        var, f = "z", f01_closed_in_z(r, order)
+    else:
+        # w01 = y(x) dx/x has the curve's coefficients; it is an alias.
+        var, f = "x", spectral_curve_y_of_x(r, order)
+    return var, [((d,), c) for d, c in enumerate(f.coefficients) if c]
 
 
 def _cmd_series(args) -> int:

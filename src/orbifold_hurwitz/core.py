@@ -296,14 +296,13 @@ def _cost_bound(r: int, g: int, d: int, parts: int) -> int | None:
     the bound is over.
     """
     scale = d * (g + 1) ** 2
-    degrees = range(r, d + 1, r)
-    if len(degrees) * scale > WORK_BUDGET:
+    if d // r * scale > WORK_BUDGET:
         return None
     ways = [1] + [0] * d
     for part in range(1, min(parts, d) + 1):
         for k in range(part, d + 1):
             ways[k] += ways[k - part]
-        cost = sum(ways[k] for k in degrees) * scale
+        cost = sum(ways[r::r]) * scale
         if cost > WORK_BUDGET:
             return None
     return cost

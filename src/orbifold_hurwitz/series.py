@@ -35,14 +35,14 @@ inversion yields; the tests hold the two to each other), the rational
 parametrization ``x(z) = z exp(-z^r)`` of that curve, and the genus-0
 one- and two-point generating functions in the ``z`` coordinate, both as
 closed forms and as sums over exact counts.
-Each of these refuses a :func:`series_cost` over ``SERIES_BUDGET`` at
-entry, through :func:`~orbifold_hurwitz.index.admit`.
+Each of these refuses, at entry and through :func:`admit_series`, an order
+below its least order or a :func:`series_cost` over ``SERIES_BUDGET``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterable
 
@@ -53,6 +53,7 @@ __all__ = [
     "SERIES_BUDGET",
     "Series1",
     "Series2",
+    "admit_series",
     "divided_difference",
     "f01_closed_in_z",
     "f01_from_counts",
@@ -87,25 +88,28 @@ def series_cost(which: str, r: int, order: int) -> int:
     number bounds the ``ode`` suite's residuals, one exp and two products
     of (order + 1)-term series, about 3/2 order^2 coefficient products,
     from order 4 r^3 on; at r = 1 it is the Horner composition that
-    ``f01`` is held to.  ``f02``: the log of the order-n
-    divided-difference kernel, with n = max(order, 2, r), takes at most
-    C(k + 3, 3) products at degree k, C(n + 4, 4) in all, more than its
-    coefficient count.  ``f01`` is a closed form: max(order, r) + 1
+    ``f01`` is held to.  ``f02``: the log of the divided-difference kernel
+    takes at most C(k + 3, 3) products at degree k, C(order + 4, 4) in all,
+    more than its coefficient count.  ``f01`` is a closed form: order + 1
     coefficients.  Building it from counts composes by Horner's rule,
-    ``order`` products of (order + 1)-term series, which is the r = 1
-    curve's count.
+    ``order`` products of (order + 1)-term series, the r = 1 curve's count.
+    No order is clamped: :func:`admit_series` refuses one below the least.
     """
     if which in ("curve", "w01"):
         k = order // r
         return k * k * (k + 1) // 2 + order + 1
     if which == "f02":
-        return comb(max(order, 2, r) + 4, 4)
-    return max(order, r) + 1
+        # C(order + 4, 4) without math.comb, which fails below order -4
+        return (order + 1) * (order + 2) * (order + 3) * (order + 4) // 24
+    return order + 1
 
 
-def _admit(what: str, cost: int) -> None:
-    """Refuse the series ``what`` when its cost is over SERIES_BUDGET."""
-    admit(what, cost, SERIES_BUDGET, "series")
+def admit_series(what: str, order: int, least: int, cost: int) -> int:
+    """Admit the series ``what`` and return its cost; refuse an order below
+    ``least`` (ValueError) or a cost over SERIES_BUDGET (BudgetExceededError)."""
+    if order < least:
+        raise ValueError(f"{what}: order {order} is below the least order {least}")
+    return admit(what, cost, SERIES_BUDGET, "series")
 
 
 def _frac(value) -> Fraction:
@@ -575,9 +579,7 @@ def spectral_curve_y_of_x(r: int, order: int) -> Series1:
     """
     if r < 1:
         raise ValueError("r must be positive")
-    if order < r:
-        raise ValueError("order must be at least r")
-    _admit(f"curve r={r} order={order}", series_cost("curve", r, order))
+    admit_series(f"curve r={r} order={order}", order, r, series_cost("curve", r, order))
     coeffs = [_ZERO] * (order + 1)
     for k in range(1, order // r + 1):
         coeffs[r * k] = Fraction((r * k) ** (k - 1), factorial(k))
@@ -628,9 +630,7 @@ def _one_part_counts(r: int, order: int, memo: MemoTable) -> list[Fraction]:
 def f01_closed_in_z(r: int, order: int) -> Series1:
     """Closed form of the one-point genus-0 energy on the curve:
     (1/r) z^r - (1/2) z^(2r)."""
-    if order < r:
-        raise ValueError("order must be at least r")
-    _admit(f"f01 r={r} order={order}", series_cost("f01", r, order))
+    admit_series(f"f01 r={r} order={order}", order, r, series_cost("f01", r, order))
     coeffs = [_ZERO] * (order + 1)
     coeffs[r] = Fraction(1, r)
     if 2 * r <= order:
@@ -642,7 +642,8 @@ def f01_from_counts(
     r: int, order: int, memo: MemoTable | None = None
 ) -> Series1:
     """The one-point genus-0 energy sum_d (count(d)/d) x^d, pulled back to z."""
-    _admit(f"f01 from counts r={r} order={order}", series_cost("curve", 1, order))
+    what = f"f01 from counts r={r} order={order}"
+    admit_series(what, order, 1, series_cost("curve", 1, order))
     return f01_in_x(r, order, memo).compose(x_of_z(r, order))
 
 
@@ -662,9 +663,8 @@ def f02_closed_in_z(r: int, total_order: int) -> Series2:
     difference of x(z); DD(x) has constant term 1, so the log needs no
     branch choice.
     """
-    if total_order < max(2, r):
-        raise ValueError("total order must be at least max(2, r)")
-    _admit(f"f02 r={r} order={total_order}", series_cost("f02", r, total_order))
+    what = f"f02 r={r} order={total_order}"
+    admit_series(what, total_order, max(2, r), series_cost("f02", r, total_order))
     kernel = divided_difference(x_of_z(r, total_order + 1))
     out = -kernel.log()
     out = out - Series2.monomial(1, r, 0, total_order)
@@ -677,9 +677,8 @@ def f02_from_counts(
 ) -> Series2:
     """The two-point genus-0 energy as a sum over exact counts:
     sum (count(mu1, mu2) / (mu1 mu2)) x(z1)^mu1 x(z2)^mu2."""
-    if total_order < 2:
-        raise ValueError("total order must be at least 2")
-    _admit(f"f02 from counts r={r} order={total_order}", series_cost("f02", r, total_order))
+    what = f"f02 from counts r={r} order={total_order}"
+    admit_series(what, total_order, 2, series_cost("f02", r, total_order))
     memo = MemoTable() if memo is None else memo
     n = total_order
     x = x_of_z(r, n - 1)
@@ -719,8 +718,6 @@ def f02_pde_residual(r: int, total_order: int) -> Series2:
     Checks (1/r)(z1 d1 + z2 d2) F = DD(x(z) z^r) / DD(x(z)) - z1^r - z2^r
     with F the closed form; exact zero when the identity holds.
     """
-    if total_order < max(2, r):
-        raise ValueError("total order must be at least max(2, r)")
     f02 = f02_closed_in_z(r, total_order)
     lhs = f02.euler() / r
     g = x_of_z(r, total_order + 1 - r).shifted(r)

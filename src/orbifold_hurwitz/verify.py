@@ -30,7 +30,7 @@ from .index import HurwitzIndex, admit, edge_count
 from .oracle import ORACLE_BUDGET, count_monodromy_tuples, steps_within
 from .report import VerificationReport
 from .series import (
-    SERIES_BUDGET,
+    admit_series,
     f01_closed_in_z,
     f01_from_counts,
     f01_in_x,
@@ -77,13 +77,6 @@ def _scaling_check(r: int, m_max: int) -> int:
     return check_budget(r, 0, r * m_max, 1)
 
 
-def _series_check(suite: str, r: int, order: int, least: int, cost: int) -> int:
-    what = f"suite {suite} --r {r}"
-    if order < least:
-        raise ValueError(f"{what}: order {order} is below the least order {least}")
-    return admit(what, cost, SERIES_BUDGET, "series")
-
-
 def oracle_cases(
     r_set: tuple[int, ...] | list[int], d_max: int, s_max: int
 ) -> tuple[list[HurwitzIndex], int]:
@@ -117,17 +110,18 @@ def oracle_cases(
 
 # Each suite's check by its --suite name: the recursion suites admit their
 # costliest query, the oracle suite its whole run (and returns its cases),
-# the series suites their least order (2r for ode/f01, max(2, r) for
-# f02/pde) and their series_cost.  f01 is held to the Horner cost of
-# ``f01_from_counts``, the r = 1 curve's count (see ``series_cost``).
+# the series suites, at order n, their least order (2r for ode/f01,
+# max(2, r) for f02/pde) and their series_cost through admit_series.  f01
+# is held to the Horner cost of ``f01_from_counts``, the r = 1 curve's
+# count (see ``series_cost``).
 SUITE_CHECKS = {
     "jpt": _jpt_check,
     "cayley": _cayley_check,
     "oracle": oracle_cases,
-    "f01": lambda r, order: _series_check("f01", r, order, 2 * r, series_cost("curve", 1, order)),
-    "f02": lambda r, order: _series_check("f02", r, order, max(2, r), series_cost("f02", r, order)),
-    "ode": lambda r, order: _series_check("ode", r, order, 2 * r, series_cost("curve", r, order)),
-    "pde": lambda r, order: _series_check("pde", r, order, max(2, r), series_cost("f02", r, order)),
+    "f01": lambda r, n: admit_series(f"suite f01 --r {r}", n, 2 * r, series_cost("curve", 1, n)),
+    "f02": lambda r, n: admit_series(f"suite f02 --r {r}", n, max(2, r), series_cost("f02", r, n)),
+    "ode": lambda r, n: admit_series(f"suite ode --r {r}", n, 2 * r, series_cost("curve", r, n)),
+    "pde": lambda r, n: admit_series(f"suite pde --r {r}", n, max(2, r), series_cost("f02", r, n)),
     "scaling": _scaling_check,
 }
 

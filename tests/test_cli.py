@@ -104,14 +104,26 @@ def test_compute_invalid_input_exits_2(args):
     assert proc.returncode == 2
 
 
+# a degree past 2^63 once overflowed the count of degrees r, 2r, ..., d
+HUGE = str(10**20)
+PAST_2_63 = str(2**63)
+
+
 def test_compute_over_budget_exits_2_without_traceback():
-    started = time.perf_counter()
-    proc = run_cli("compute", "--r", "1", "--genus", "0", "--mu", ",".join(["1"] * 600))
-    assert time.perf_counter() - started < 10
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "error:" in proc.stderr and "budget" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    # 600 ones, and one part past 2^63
+    for r, mu in (("1", ",".join(["1"] * 600)), ("2", HUGE)):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as refused:
+            cli.main(["compute", "--r", r, "--genus", "0", "--mu", mu])
+        assert time.perf_counter() - started < 1
+        assert refused.value.code == 2
+        started = time.perf_counter()
+        proc = run_cli("compute", "--r", r, "--genus", "0", "--mu", mu)
+        assert time.perf_counter() - started < 10
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +151,17 @@ def test_table_empty_admissible_set_prints_header_only():
     proc = run_cli("table", "--r", "5", "--genus", "0", "--degree-max", "3", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "r,g,mu,n,d,s,arrowed,hurwitz"
+
+
+@pytest.mark.parametrize(
+    "fmt, printed", [("csv", "r,g,mu,n,d,s,arrowed,hurwitz\r\n"), ("json", "[]\n")]
+)
+def test_table_without_a_degree_walks_no_genus(capsys, fmt, printed):
+    argv = ["table", "--r", "2", "--degree-max", "1", "--genus-max", PAST_2_63]
+    started = time.perf_counter()
+    assert cli.main([*argv, "--format", fmt]) == 0
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().out == printed
 
 
 def test_table_writes_file(tmp_path):
@@ -241,6 +264,9 @@ def test_table_over_budget_exits_2():
         (("--r", "2", "--genus", "1", "--genus-max", "4", "--degree-max", "21"), "g=4 d=20 n=20"),
         # no all-ones row of 10^9 parts is built to find that out
         (("--r", "1", "--degree-max", "1000000000"), "d=1000000000 n=1000000000"),
+        (("--r", "1", "--degree-max", HUGE), f"d={HUGE} n={HUGE}"),
+        # the degree table is abandoned after two part sizes, not filled
+        (("--r", "500000", "--degree-max", "500000"), "d=500000 n=500000"),
     ],
 )
 def test_table_admitted_whole_before_the_first_row(argv, refused):
@@ -300,11 +326,43 @@ def test_series_json_round_trip_and_schema():
         ("series", "--which", "curve", "--r", "1", "--order", "0"),
         ("series", "--which", "curve", "--r", "3", "--order", "2"),
         ("series", "--which", "curve", "--r", "0", "--order", "4"),
+        ("series", "--which", "w01", "--r", "3", "--order", "2"),
+        ("series", "--which", "f01", "--r", "3", "--order", "2"),
+        ("series", "--which", "f02", "--r", "3", "--order", "2"),
+        ("series", "--which", "f02", "--r", "1", "--order", "1"),
     ],
 )
 def test_series_invalid_flags_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "which, build, r, order, least",
+    [
+        ("curve", series.spectral_curve_y_of_x, 3, 2, 3),
+        ("w01", series.spectral_curve_y_of_x, 2, 1, 2),
+        ("f01", series.f01_closed_in_z, 3, 2, 3),
+        ("f02", series.f02_closed_in_z, 3, 2, 3),
+        ("f02", series.f02_closed_in_z, 1, 1, 2),
+    ],
+)
+def test_series_command_and_library_refuse_below_the_least_order(
+    capsys, which, build, r, order, least
+):
+    # w01 is the curve under another name
+    label = "curve" if which == "w01" else which
+    refused = f"{label} r={r} order={order}: order {order} is below the least order {least}"
+    with pytest.raises(ValueError) as raised:
+        build(r, order)
+    assert str(raised.value) == refused
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["series", "--which", which, "--r", str(r), "--order", str(order)])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: {refused}\n")
 
 
 # sha256 of the series stdout at order 14, recorded from the per-term
@@ -491,6 +549,12 @@ def test_verify_oracle_degree_five_six_branch_points_passes(capsys):
         ("--suite", "cayley", "--max", "3000"),
         ("--suite", "jpt", "--max-degree", "200"),
         ("--suite", "scaling", "--m-max", "800"),
+        ("--suite", "cayley", "--max", PAST_2_63),
+        ("--suite", "jpt", "--max-degree", PAST_2_63),
+        ("--suite", "scaling", "--m-max", PAST_2_63),
+        ("--suite", "all", "--max", PAST_2_63),
+        ("--suite", "all", "--max-degree", PAST_2_63),
+        ("--suite", "all", "--m-max", PAST_2_63),
     ],
 )
 def test_verify_recursion_suites_refused_before_any_work(argv):

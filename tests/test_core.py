@@ -317,6 +317,10 @@ def test_check_budget_is_the_refusal_every_query_passes():
     # s = 0 and r not dividing d evaluate nothing, however large the degree
     check_budget(10**6, 0, 10**6, 1)
     check_budget(2, 0, 10**6 + 1, 1)
+    # more degrees r, 2r, ..., d than a range's length can hold
+    for r, d in ((1, 10**20), (2, 2**64)):
+        with pytest.raises(BudgetExceededError, match=f"d={d} n=1"):
+            check_budget(r, 0, d, 1)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 """Series engine, Lagrange inversion, the curve, and the free energies."""
 
+import inspect
 import random
+import re
 import time
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbifold_hurwitz.series as series_module
 from orbifold_hurwitz import (
     BudgetExceededError,
     HurwitzIndex,
@@ -370,6 +374,37 @@ def test_series_over_budget_refused_at_entry(build):
         build(memo)
     assert time.perf_counter() - started < 1
     assert len(memo) == 0
+
+
+# the entries the series command builds are held to it in test_cli.py
+@pytest.mark.parametrize(
+    "build, r, order, label, least",
+    [
+        ("f01_from_counts", 2, 0, "f01 from counts", 1),
+        ("f02_from_counts", 1, 1, "f02 from counts", 2),
+        # refused on its order before its cost is looked at
+        ("f02_closed_in_z", 1, -5, "f02", 2),
+        # the PDE residual is refused by the closed form it starts from
+        ("f02_pde_residual", 3, 2, "f02", 3),
+    ],
+)
+def test_series_refused_below_the_least_order(build, r, order, label, least):
+    with pytest.raises(ValueError) as raised:
+        getattr(series_module, build)(r, order)
+    assert str(raised.value) == (
+        f"{label} r={r} order={order}: order {order} is below the least order {least}"
+    )
+
+
+def test_only_admit_series_refuses_an_order_or_spends_the_series_budget():
+    package = Path(series_module.__file__).parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    helper = inspect.getsource(series_module.admit_series)
+    # the least-order refusal, and SERIES_BUDGET handed to index.admit
+    for pattern in (r"below the least order", r"admit\([^)]*SERIES_BUDGET"):
+        found = {name: len(re.findall(pattern, text)) for name, text in sources.items()}
+        assert {name: n for name, n in found.items() if n} == {"series.py": 1}
+        assert len(re.findall(pattern, helper)) == 1
 
 
 def test_an_empty_memo_from_the_caller_is_filled():
