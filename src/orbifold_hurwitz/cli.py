@@ -15,11 +15,12 @@ SIGPIPE when the reader of stdout goes away (say, output piped into
 ``head``); the run then ends quietly.  Integer flags check their range
 where they are declared, and :func:`main` turns every refusal the
 library raises, a ``ValueError`` or a ``BudgetExceededError`` from a
-query over the recursion, oracle or series budget, into exit 2 with one
-``error:`` line.  Each layer refuses its own over-budget queries before
-any work; ``table`` admits the numbers of its costliest row, and
-``verify`` runs every suite's check from :mod:`~orbifold_hurwitz.verify`,
-for every r, before its first value.
+query over the recursion, oracle or series budget, into the parser's
+own refusal: exit 2 with one stderr line, ``<prog>: error: <message>``.
+Each layer refuses its own over-budget queries before any work;
+``table`` admits the numbers of its costliest row, and ``verify`` runs
+every suite's check from :mod:`~orbifold_hurwitz.verify`, for every r,
+before its first value.
 """
 
 from __future__ import annotations
@@ -245,8 +246,18 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with argparse's error line, ``<prog>: error: <message>``,
+    and exit 2, but without the usage block argparse prints before it.
+    Subparsers are built from the parser's class, so they refuse the same
+    way."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbifold-hurwitz",
         description="Exact simple and orbifold Hurwitz numbers, their mirror "
         "series, and cross-check suites.",

@@ -49,223 +49,275 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # Largest cost bound (see ``_cost_bound``) a query may have; larger ones
-# are refused before any evaluation.  The slowest accepted queries, such
-# as r = 1, g = 0, mu = (1,) * 27, take 9.5-14 s as a CLI run on a shared
-# 2-vCPU Xeon VM under CPython 3.11.7 (11.7, 12.6 and 14.0 s in one set of
-# three, 9.5-10.3 s in a quieter one); the largest bound in the r = 2,
-# g <= 2, d <= 20 table is 276,660.
+# are refused before any evaluation.  Among the slowest accepted queries,
+# r = 1, g = 0, mu = (1,) * 27 (bound 398,007) takes 3.6-3.8 s as a CLI run
+# on a shared 2-vCPU Xeon VM under CPython 3.11.7, against 10.2-11.7 s
+# for the recursion that visited every loop orbit twice; the largest
+# bound in the r = 2, g <= 2, d <= 20 table is 276,660.
 WORK_BUDGET = 500_000
 
 
 class MemoTable:
-    """Cache of arrowed counts keyed by (r, g, mu sorted descending).
+    """Cache of arrowed counts, one dict per (r, g) keyed by profile code.
 
     Entries are the integers E = s! * arrowed for every evaluated state
     with s >= 1, zeros included; ``lookup`` divides by s! and returns the
-    ``Fraction``.  Canonicalizing mu is sound because the count is
-    invariant under every permutation of the profile (vertex labels are
-    interchangeable).  Stored values never change once inserted; any two
-    writers racing on a key would store the same int, so no locking is
-    required.
+    ``Fraction``.  A profile's code (see ``_unit``) depends only on its
+    multiset of parts, which is sound because the count is invariant under
+    every permutation of the profile (vertex labels are interchangeable).
+    Stored values never change once inserted; any two writers racing on a
+    key would store the same int, so no locking is required.
     """
 
     __slots__ = ("_table",)
 
     def __init__(self) -> None:
-        self._table: dict[tuple[int, int, Profile], int] = {}
+        self._table: dict[tuple[int, int], dict[int, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._table)
+        return sum(map(len, self._table.values()))
+
+    def _get(self, r: int, g: int, mu: Profile) -> int | None:
+        layer = self._table.get((r, g))
+        # a profile whose code would overflow a field is never stored
+        if layer is None or len(mu) > _PARTS or sum(mu) + r * len(mu) > _HEADER:
+            return None
+        return layer.get(_encode(r, mu))
 
     def __contains__(self, key: tuple[int, int, Iterable[int]]) -> bool:
         r, g, mu = key
-        return (r, g, canonical_profile(mu)) in self._table
+        return self._get(r, g, canonical_profile(mu)) is not None
 
     def lookup(self, r: int, g: int, mu: Iterable[int]) -> Fraction | None:
         mu = canonical_profile(mu)
-        value = self._table.get((r, g, mu))
+        value = self._get(r, g, mu)
         if value is None:
             return None
         return Fraction(value, factorial(edge_count(r, g, mu)))
 
 
-def _submultiset_splits(
-    rest: Profile,
-) -> list[tuple[Profile, Profile, int, int, int]]:
-    """All ways to split the multiset ``rest`` into an ordered pair (I, J).
+# Inside the recursion a profile of degree d with n parts is one int, its
+# code: the multiplicity of part value v in the _W-bit field at bit
+# _HEAD + _W * (v - 1), above a header holding d + r * n, which is
+# r * (s - 2g + 2) at genus g.  Adding a part v is ``code + _unit(r, v)``,
+# and merging parts u and v is
+# ``code - _unit(r, u) - _unit(r, v) + _unit(r, u + v)``; a grading
+# assert checks a child's edge count against the child's own header.
+# No field may overflow.  A state reachable from (g, mu) has degree at
+# most d and at most m = min(d, n + g) parts, so at most m equal ones and
+# a header at most d + r * m.  check_budget refuses m > 255, since p(256)
+# exceeds WORK_BUDGET, and d > WORK_BUDGET, so with r <= d the header
+# stays below 2^27; ``_scaled`` asserts both bounds once per query.
+_W = 8  # one byte per field, so ``int.to_bytes`` reads them off
+_HEAD = 32
+_PARTS = (1 << _W) - 1
+_HEADER = (1 << _HEAD) - 1
 
-    ``rest`` is sorted descending.  Returns (I, J, ways, deg I, len I)
-    tuples, I and J sorted descending, where ``ways`` counts the index
-    subsets realizing the sub-multiset I, i.e. the product of binomials
-    over the distinct part values.  The splits are built one distinct
-    value at a time, so their number is the product of (multiplicity + 1)
-    over the distinct parts instead of 2^n.
+
+@lru_cache(maxsize=4096)
+def _unit(r: int, v: int) -> int:
+    """The code of the one-part profile (v,) at orbifold order r."""
+    return (1 << (_HEAD + _W * (v - 1))) + v + r
+
+
+def _encode(r: int, mu: Profile) -> int:
+    return sum(_unit(r, p) for p in mu)
+
+
+def _runs(code: int) -> list[tuple[int, int]]:
+    """(value, multiplicity) of each distinct part of a code, ascending."""
+    fields = code >> _HEAD
+    return [
+        (v, m)
+        for v, m in enumerate(fields.to_bytes((fields.bit_length() + 7) // 8, "little"), 1)
+        if m
+    ]
+
+
+def _decode(code: int) -> Profile:
+    """The profile of a code, sorted descending."""
+    return tuple(v for v, m in reversed(_runs(code)) for _ in range(m))
+
+
+def _submultiset_splits(
+    r: int, runs: list[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """All ways to split a multiset into an ordered pair (I, J).
+
+    The multiset is given by its ``runs``, (value, multiplicity) pairs.
+    Returns (code of I, code of J, ways) triples, codes at orbifold order
+    r, where ``ways`` counts the index subsets realizing the sub-multiset
+    I, i.e. the product of binomials over the distinct part values.  The
+    splits are built one distinct value at a time, so their number is the
+    product of (multiplicity + 1) over the distinct parts instead of 2^n.
+    They are listed in mixed radix, so ``splits[last - i]`` is the
+    complement (J, I) of ``splits[i]``.
     """
-    splits: list[tuple[Profile, Profile, int, int, int]] = [((), (), 1, 0, 0)]
-    n = len(rest)
-    start = 0
-    while start < n:
-        v = rest[start]
-        end = start + 1
-        while end < n and rest[end] == v:
-            end += 1
-        m = end - start
-        start = end
+    splits = [(0, 0, 1)]
+    for v, m in runs:
+        unit = _unit(r, v)
+        # k copies of v to I: their code, the code of the m - k left to J,
+        # and the ways to pick them
+        picks = [(k * unit, (m - k) * unit, comb(m, k)) for k in range(m + 1)]
         splits = [
-            (left + (v,) * k, right + (v,) * (m - k), ways * comb(m, k),
-             degree + v * k, length + k)
-            for left, right, ways, degree, length in splits
-            for k in range(m + 1)
+            (left + pick, right + other, ways * more)
+            for left, right, ways in splits
+            for pick, other, more in picks
         ]
     return splits
 
 
-def _insert(parts: Profile, value: int) -> Profile:
-    """``parts``, sorted descending, with ``value`` inserted in order."""
-    if not parts or parts[0] <= value:
-        return (value,) + parts
-    if parts[-1] >= value:
-        return parts + (value,)
-    i = 1
-    while parts[i] > value:
-        i += 1
-    return parts[:i] + (value,) + parts[i:]
-
-
-def _known(r: int, g: int, mu: Profile, table: dict) -> int | None:
-    """E(r, g, mu) for canonical mu when no evaluation is needed.
-
-    That is a memo hit, 0 outside the domain (r does not divide d, or
-    g < 0), or the seed at s = 0: one vertex, no edges, all r dots at that
-    vertex.  Returns None on a memo miss.
-    """
-    value = table.get((r, g, mu))
-    if value is not None:
-        return value
-    s = edge_count(r, g, mu)
-    if s is None or g < 0:
-        return 0
-    if s == 0:
-        return 1 if (g == 0 and mu == (r,)) else 0
-    return None
-
-
 def _contraction(
-    r: int, g: int, mu: Profile, table: dict
-) -> Generator[tuple[int, Profile], int, int]:
+    r: int, g: int, code: int, layers: list[dict[int, int]]
+) -> Generator[tuple[int, int], int, int]:
     """Evaluate E(r, g, mu) = s! * arrowed(r, g, mu) for a memo miss.
 
+    ``code`` is mu's code and ``layers[h]`` the memo of genus h.
     Contracting one of the s labeled edges gives E as plain integer sums
-    over states one edge down.  The generator yields the (g, mu) of each
-    child that is not yet known and expects its E sent back; it stores its
-    own result in ``table`` before returning it.  Each child is looked up
-    in ``table`` first and goes through ``_known`` only on a miss.
+    over states one edge down.  The generator yields the (g, code) of each
+    child that is neither stored nor the seed and expects its E sent back;
+    it stores its own result in ``layers[g]`` before returning it.
     """
-    s = edge_count(r, g, mu)
-    n = len(mu)
-    # Identical parts give identical contributions, so work on the runs of
-    # equal parts: (value, index of its first part, multiplicity).
-    runs: list[tuple[int, int, int]] = []
-    start = 0
-    while start < n:
-        end = start
-        while end < n and mu[end] == mu[start]:
-            end += 1
-        runs.append((mu[start], start, end - start))
-        start = end
+    s = (code & _HEADER) // r + 2 * g - 2
+    # the header of a genus-g child with s - 1 edges
+    top = r * (s + 1 - 2 * g)
+    runs = _runs(code)
+    here = layers[g]
+    # the genus splits g1 + g2 = g of a separating loop, with their memos'
+    # lookups
+    genera = [(g1, layers[g1].get, g - g1, layers[g - g1].get) for g1 in range(g + 1)]
+    # the seed (0, (r,)), the one state at s = 0, is never stored
+    seed = _unit(r, r)
 
     # Contract an edge joining two distinct vertices: parts mu_i and mu_j
     # merge, one term per pair of part values.
     acc = 0
-    for x, (u, i, mult_u) in enumerate(runs):
-        for v, j, mult_v in runs[x:]:
-            if j == i:
-                pairs = mult_u * (mult_u - 1) // 2
-                j = i + 1
-            else:
-                pairs = mult_u * mult_v
+    for x, (u, mult_u) in enumerate(runs):
+        for v, mult_v in runs[x:]:
+            pairs = mult_u * (mult_u - 1) // 2 if v == u else mult_u * mult_v
             if not pairs:
                 continue
-            merged = _insert(mu[:i] + mu[i + 1 : j] + mu[j + 1 :], u + v)
-            assert edge_count(r, g, merged) == s - 1
-            child = table.get((r, g, merged))
+            merged = code - _unit(r, u) - _unit(r, v) + _unit(r, u + v)
+            assert merged & _HEADER == top
+            child = here.get(merged)
             if child is None:
-                child = _known(r, g, merged, table)
-                if child is None:
-                    child = yield g, merged
+                child = 1 if merged == seed and not g else (yield g, merged)
             acc += pairs * u * v * child
 
     # Contract a loop at one vertex: mu_i breaks into a + b, and the loop
     # either cuts a handle (genus drops) or separates the surface (the
     # remaining parts distribute over the two sides, and the s - 1 other
-    # edge labels with them).
-    loop_acc = 0
+    # edge labels with them).  Both sums are invariant under the
+    # involution (a, I, g1) <-> (b, J, g - g1): the handle child is
+    # symmetric in a and b, ways(I) = ways(J), and C(s - 1, k) =
+    # C(s - 1, s - 1 - k).  So each orbit is visited once, through its
+    # representative with a <= b, and with split index i <= last - i; the
+    # terms of two-element orbits go into ``twice``, the fixed points into
+    # ``diag``, and the sum over ordered splits is 2 * twice + diag.
+    twice = diag = 0
     # C(s - 1, k): the ways to hand k of the other edge labels to one side
     binom = [comb(s - 1, k) for k in range(s)]
-    for value, start, mult in runs:
+    for x, (value, mult) in enumerate(runs):
         if value < 2:
             continue
-        # dropping one copy of value keeps the descending order
-        rest = mu[:start] + mu[start + 1 :]
-        inner = 0
-        for a in range(1, value):
-            handle = _insert(_insert(rest, a), value - a)
-            assert edge_count(r, g - 1, handle) in (None, s - 1)
-            child = table.get((r, g - 1, handle))
-            if child is None:
-                child = _known(r, g - 1, handle, table)
+        off = fixed = 0
+        if g:
+            rest = code - _unit(r, value)
+            below = layers[g - 1]
+            for a in range(1, value // 2 + 1):
+                # a handle child has n + 1 >= 2 parts, so it is no seed
+                handle = rest + _unit(r, a) + _unit(r, value - a)
+                assert handle & _HEADER == top + 2 * r
+                child = below.get(handle)
                 if child is None:
                     child = yield g - 1, handle
-            inner += child
+                if 2 * a == value:
+                    fixed += child
+                else:
+                    off += child
+        splits = _submultiset_splits(
+            r, runs[:x] + [(value, mult - 1)] * (mult > 1) + runs[x + 1 :]
+        )
+        last = len(splits) - 1
         # A separating loop needs r | deg mu1 = a + deg I (then r | deg mu2
-        # too), so each split steps a through that residue class only.
-        for left, right, ways, degree, length in _submultiset_splits(rest):
-            for a in range(r - degree % r, value, r):
-                mu1 = _insert(left, a)
-                # edge count of (0, mu1); at genus g1 it is s1 + 2 g1
-                s1 = (a + degree) // r + length - 1
-                mu2 = _insert(right, value - a)
-                assert s1 + edge_count(r, g, mu2) == s - 1
-                for g1 in range(g + 1):
-                    lhs = table.get((r, g1, mu1))
+        # too), so each split steps a through that residue class only.  The
+        # steps (code (a,), code (b,), a = b) of a class are shared by its
+        # splits, and the middle split, its own complement, takes the
+        # ``lower`` ones, with a <= b.
+        walks = {}
+        for i in range(last // 2 + 1):
+            left, right, ways = splits[i]
+            # the orbit's other half would count ways(J) instead
+            if ways != splits[last - i][2]:
+                raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={_decode(code)}")
+            # deg I = header of I (mod r)
+            residue = (left & _HEADER) % r
+            found = walks.get(residue)
+            if found is None:
+                found = walks[residue] = (
+                    [
+                        (_unit(r, a), _unit(r, value - a), 2 * a == value)
+                        for a in range(r - residue, value, r)
+                    ],
+                    len(range(r - residue, value // 2 + 1, r)),
+                )
+            walk, lower = found
+            mirror = 2 * i == last
+            inner = 0
+            for unit_a, unit_b, middle in walk[:lower] if mirror else walk:
+                mu1 = left + unit_a
+                mu2 = right + unit_b
+                # the edge count of (0, mu1), off its header; r divides the
+                # header, and at genus g1 the count is s1 + 2 g1
+                s1 = (mu1 & _HEADER) // r - 2
+                assert mu1 & _HEADER == r * (s1 + 2)
+                assert mu2 & _HEADER == top - r * s1
+                on_diag = mirror and middle
+                for g1, get1, g2, get2 in genera[: g // 2 + 1] if on_diag else genera:
+                    lhs = get1(mu1)
                     if lhs is None:
-                        lhs = _known(r, g1, mu1, table)
-                        if lhs is None:
-                            lhs = yield g1, mu1
-                    if not lhs:
-                        continue
-                    rhs = table.get((r, g - g1, mu2))
+                        lhs = 1 if mu1 == seed and not g1 else (yield g1, mu1)
+                    rhs = get2(mu2)
                     if rhs is None:
-                        rhs = _known(r, g - g1, mu2, table)
-                        if rhs is None:
-                            rhs = yield g - g1, mu2
-                    if rhs:
-                        inner += ways * binom[s1 + 2 * g1] * lhs * rhs
-        loop_acc += value * mult * inner
+                        rhs = 1 if mu2 == seed and not g2 else (yield g2, mu2)
+                    if lhs and rhs:
+                        if on_diag and g1 == g2:
+                            fixed += ways * binom[s1 + 2 * g1] * lhs * rhs
+                        else:
+                            inner += binom[s1 + 2 * g1] * lhs * rhs
+            off += ways * inner
+        twice += value * mult * off
+        diag += value * mult * fixed
 
-    # The loop sum runs over ordered splits a + b and so counts every loop
-    # twice; an odd sum would mean the recursion itself is wrong.
-    half, odd = divmod(loop_acc, 2)
+    # The ordered sum 2 * twice + diag counts every loop twice; an odd diag
+    # would make it odd, which would mean the recursion itself is wrong.
+    half, odd = divmod(diag, 2)
     if odd:
-        raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={mu}")
-    result = acc + half
-    table[(r, g, mu)] = result
+        raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={_decode(code)}")
+    result = acc + twice + half
+    here[code] = result
     return result
 
 
 def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
-    """E(r, g, mu) for canonical mu, evaluated on an explicit stack.
+    """E(r, g, mu) for an admitted mu with s >= 1, on an explicit stack.
 
     The stack holds the suspended evaluation of every state whose child is
     being computed, so only descendants of (r, g, mu) are visited and the
     Python call depth stays constant however deep the recursion in s goes.
     """
-    value = _known(r, g, mu, table)
+    d = sum(mu)
+    most = min(d, len(mu) + g)
+    assert most <= _PARTS and d + r * most <= _HEADER
+    code = _encode(r, mu)
+    value = table.setdefault((r, g), {}).get(code)
     if value is not None:
         return value
-    stack = [_contraction(r, g, mu, table)]
+    layers = [table.setdefault((r, h), {}) for h in range(g + 1)]
+    stack = [_contraction(r, g, code, layers)]
     while stack:
         try:
             child = stack[-1].send(value)
@@ -273,7 +325,7 @@ def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
             stack.pop()
             value = done.value
         else:
-            stack.append(_contraction(r, *child, table))
+            stack.append(_contraction(r, *child, layers))
             value = None
     return value
 
@@ -337,12 +389,15 @@ def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fractio
     """
     if memo is None:
         memo = MemoTable()
-    r, g = idx.r, idx.g
-    mu = canonical_profile(idx.mu)
+    r, g, mu = idx.r, idx.g, idx.mu
     s = edge_count(r, g, mu)
     if s is None:
         return _ZERO
     check_budget(r, g, idx.d, idx.n)
+    if s == 0:
+        # the seed: one vertex, no edges, all r dots at it; s = 0 forces
+        # (g, mu) = (0, (r,))
+        return _ONE
     return Fraction(_scaled(r, g, mu, memo._table), factorial(s))
 
 

@@ -9,7 +9,6 @@ other to share it, or to share :func:`admit`, the one budget refusal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
@@ -70,7 +69,6 @@ def edge_count(r: int, g: int, mu: Profile) -> int | None:
     return 2 * g - 2 + d // r + len(mu)
 
 
-@dataclass(frozen=True)
 class HurwitzIndex:
     """The triple (r, g, mu) naming one counting problem.
 
@@ -78,21 +76,41 @@ class HurwitzIndex:
     the second branch point.  Derived quantities: degree ``d``, face count
     ``m = d/r`` and edge count ``s`` (see :func:`edge_count`), the latter
     two defined only when r divides d.  Since m, n >= 1, s is never
-    negative.
+    negative.  Instances are immutable values: equal and hashed by
+    (r, g, mu).  A plain class rather than a frozen dataclass, since
+    ``dataclasses`` imports ``inspect``, a large share of the CLI's
+    start-up.
     """
 
     r: int
     g: int
     mu: Profile
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 0:
-            raise ValueError(f"g must be a non-negative integer, got {self.g!r}")
-        parts = tuple(self.mu)
+    def __init__(self, r: int, g: int, mu: Iterable[int]) -> None:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+            raise ValueError(f"r must be a positive integer, got {r!r}")
+        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+            raise ValueError(f"g must be a non-negative integer, got {g!r}")
+        parts = tuple(mu)
         canonical_profile(parts)
-        object.__setattr__(self, "mu", parts)
+        vars(self).update(r=r, g=g, mu=parts)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"HurwitzIndex(r={self.r!r}, g={self.g!r}, mu={self.mu!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.g, self.mu) == (other.r, other.g, other.mu)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.g, self.mu))
 
     @property
     def n(self) -> int:

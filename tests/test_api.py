@@ -60,3 +60,28 @@ def test_module_exports_resolve(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_value_classes_compare_hash_and_freeze_by_fields():
+    # plain classes with the semantics of the dataclasses they replaced
+    from orbifold_hurwitz import CheckCase, HurwitzIndex, VerificationReport
+
+    idx = HurwitzIndex(2, 1, [3, 1])
+    assert repr(idx) == "HurwitzIndex(r=2, g=1, mu=(3, 1))"
+    assert idx == HurwitzIndex(2, 1, (3, 1)) and idx != HurwitzIndex(2, 1, (1, 3))
+    assert hash(idx) == hash((2, 1, (3, 1)))
+    case = CheckCase("d=1", "1", "1", True)
+    assert repr(case) == "CheckCase(description='d=1', expected='1', actual='1', ok=True)"
+    assert case == CheckCase("d=1", "1", "1", True) and len({case, case}) == 1
+    for value, field in ((idx, "r"), (idx, "mu"), (case, "ok")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+    report = VerificationReport("cayley")
+    report.check("d=1", 1, 1)
+    assert report == VerificationReport("cayley", [case])
+    assert repr(report) == f"VerificationReport(suite='cayley', cases=[{case!r}])"
+    assert VerificationReport("cayley").cases == []
+    with pytest.raises(TypeError):
+        hash(report)

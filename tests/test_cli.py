@@ -61,6 +61,19 @@ def test_compute_zero_below_orbifold_order():
     assert proc.stdout.strip() == "0"
 
 
+def test_compute_seed_past_2_63_encodes_nothing():
+    # s = 0: the seed value, answered before any profile is encoded
+    huge = str(2**63)
+    for flag, printed in (("--arrowed", "1"), ("--json", None), (None, f"1/{huge}")):
+        argv = ["compute", "--r", huge, "--genus", "0", "--mu", huge]
+        proc = run_cli(*argv, *([flag] if flag else []))
+        assert proc.returncode == 0, proc.stderr
+        if printed is None:
+            assert json.loads(proc.stdout)["arrowed"] == "1"
+        else:
+            assert proc.stdout == printed + "\n"
+
+
 def test_compute_json_fields_and_round_trip():
     proc = run_cli("compute", "--r", "2", "--genus", "0", "--mu", "3,1", "--json")
     assert proc.returncode == 0
@@ -124,6 +137,14 @@ def test_compute_over_budget_exits_2_without_traceback():
         assert proc.stdout == ""
         assert "error:" in proc.stderr and "budget" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # ``dataclasses`` imports ``inspect``, a large share of every start-up
+    code = "import sys, orbifold_hurwitz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,28 @@ def test_memo_lookup_returns_fractions():
     assert (1, 5, [1, 2]) not in memo
 
 
+def test_memo_lookup_of_a_part_never_stored_returns_at_once():
+    # a code with a field this wide would never fit in memory
+    assert MemoTable().lookup(1, 0, (10**20,)) is None
+    memo = MemoTable()
+    arrowed_hurwitz(HurwitzIndex(1, 0, (2, 1)), memo)
+    assert memo.lookup(1, 0, (10**20,)) is None
+    assert (1, 0, (10**20, 1)) not in memo
+    assert (2**63, 0, (2**63,)) not in memo
+
+
+@pytest.mark.parametrize("r, degree_max, states", [(1, 16, 2741), (2, 20, 4610)])
+def test_table_sweep_memo_states(r, degree_max, states):
+    # the two table-sweep benchmark tables, g <= 2: visiting each loop orbit
+    # once still evaluates every child the ordered loop sums evaluated
+    memo = MemoTable()
+    for g in range(3):
+        for d in range(r, degree_max + 1, r):
+            for mu in partitions(d):
+                arrowed_hurwitz(HurwitzIndex(r, g, mu), memo)
+    assert len(memo) == states
+
+
 def test_scaled_counts_are_integers():
     # s! * arrowed counts arrowed graphs with labeled edges.
     memo = MemoTable()
@@ -539,6 +561,15 @@ def _reference_fill(r, g, mu, table):
     return value
 
 
+def _decoded(memo):
+    """The memo as {(r, g, mu sorted descending): E}, its codes decoded."""
+    return {
+        (r, g, core_module._decode(code)): value
+        for (r, g), layer in memo._table.items()
+        for code, value in layer.items()
+    }
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_memo_table_matches_the_sorting_reference(r):
     # The residue-class walk skips the splits with r not dividing d1; at
@@ -551,8 +582,8 @@ def test_memo_table_matches_the_sorting_reference(r):
                 value = arrowed_hurwitz(HurwitzIndex(r, g, mu), memo)
                 expected = _reference_fill(r, g, mu, reference)
                 assert value * factorial(edge_count(r, g, mu)) == expected
-    assert memo._table == reference
-    assert len(reference) > 100
+    assert _decoded(memo) == reference
+    assert len(memo) == len(reference) > 100
 
 
 def test_memo_table_keeps_its_zero_entries():
@@ -562,8 +593,9 @@ def test_memo_table_keeps_its_zero_entries():
     for mu in partitions(3):
         arrowed_hurwitz(HurwitzIndex(1, 2, mu), memo)
         _reference_fill(1, 2, mu, reference)
-    assert memo._table == reference
-    assert memo._table[1, 1, (1,)] == memo._table[1, 2, (1,)] == 0
+    decoded = _decoded(memo)
+    assert decoded == reference
+    assert decoded[1, 1, (1,)] == decoded[1, 2, (1,)] == 0
 
 
 @pytest.mark.parametrize(
@@ -576,23 +608,37 @@ def test_submultiset_splits_match_index_subsets(rest):
             left = tuple(rest[i] for i in picked)
             right = tuple(p for i, p in enumerate(rest) if i not in picked)
             expected[left, right] += 1
-    splits = core_module._submultiset_splits(rest)
-    pairs = [(left, right) for left, right, *_ in splits]
+    r = 3
+    runs = core_module._runs(core_module._encode(r, rest))
+    coded = core_module._submultiset_splits(r, runs)
+    splits = [
+        (core_module._decode(left), core_module._decode(right), ways)
+        for left, right, ways in coded
+    ]
+    pairs = [(left, right) for left, right, _ in splits]
     assert len(pairs) == len(set(pairs)) == len(expected)
-    for left, right, ways, degree, length in splits:
+    for left, right, ways in splits:
         assert ways == expected[left, right]
-        assert (degree, length) == (sum(left), len(left))
-    assert sum(ways for _, _, ways, _, _ in splits) == 2 ** len(rest)
+    # each code's header holds its degree + r * its length
+    for (left, right, _), (left_code, right_code, _) in zip(splits, coded):
+        for parts, code in ((left, left_code), (right, right_code)):
+            assert code & core_module._HEADER == sum(parts) + r * len(parts)
+    assert sum(ways for _, _, ways in splits) == 2 ** len(rest)
+    # the halved loop sum relies on this: splits[last - i] is the
+    # complement of splits[i]
+    assert [(right, left) for left, right in reversed(pairs)] == pairs
 
 
 def test_odd_loop_sum_raises(monkeypatch):
     # Counting one split once more breaks the a <-> b pairing of the loop
     # sum; at r = 2, mu = (3, 1) that adds 3 * E(2, 0, (1, 1)) * E(2, 0, (2,)).
+    # The halved sum never visits the last split, but it meets the first
+    # one, whose ways now differ from its complement's.
     splits = core_module._submultiset_splits
 
-    def one_extra_way(rest):
-        *others, (left, right, ways, degree, length) = splits(rest)
-        return [*others, (left, right, ways + 1, degree, length)]
+    def one_extra_way(r, runs):
+        *others, (left, right, ways) = splits(r, runs)
+        return [*others, (left, right, ways + 1)]
 
     monkeypatch.setattr(core_module, "_submultiset_splits", one_extra_way)
     with pytest.raises(ArithmeticError, match="odd loop sum"):

@@ -3,8 +3,9 @@
 The argv are drawn from :func:`orbifold_hurwitz.cli.build_parser` itself:
 every subcommand and every flag, integers from small, boundary and huge
 (past 2^63) values, and comma lists of them where a flag takes a list.
-Exit 2 leaves stdout empty; exit 0 prints something, and printed JSON
-validates against ``docs/schemas``.  A hang meets a 10 s alarm.
+Exit 2 leaves stdout empty and prints one stderr line, ``... error: ...``;
+exit 0 prints something, and printed JSON validates against
+``docs/schemas``.  A hang meets a 10 s alarm.
 """
 
 import io
@@ -112,7 +113,8 @@ def test_every_argv_ends_in_exit_0_or_2(argv):
         assert code in (0, 2), (argv, code, stderr)
         if code == 2:
             assert stdout == "", argv
-            assert "error:" in stderr, argv
+            # one line, without argparse's usage block
+            assert "error: " in stderr and stderr.count("\n") == 1, (argv, stderr)
             return
         printed = target.read_text() if "--output" in argv else stdout
     assert printed, argv
