@@ -15,8 +15,11 @@ SIGPIPE when the reader of stdout goes away (say, output piped into
 ``head``); the run then ends quietly.  Integer flags check their range
 where they are declared, and :func:`main` turns every refusal the
 library raises, a ``ValueError`` or a ``BudgetExceededError`` from a
-query over the recursion, oracle or series budget, into the parser's
-own refusal: exit 2 with one stderr line, ``<prog>: error: <message>``.
+query over the recursion, oracle or series budget, into a refusal by
+the subcommand's own parser; ``table`` raises such a ``ValueError``
+when it cannot write ``--output``.  Every exit 2, argparse's own included, prints one
+stderr line, ``orbifold-hurwitz <command>: error: <message>`` (just
+``orbifold-hurwitz: error: ...`` when no subcommand is named).
 Each layer refuses its own over-budget queries before any work;
 ``table`` admits the numbers of its costliest row, and ``verify`` runs
 every suite's check from :mod:`~orbifold_hurwitz.verify`, for every r,
@@ -153,8 +156,7 @@ def _cmd_table(args) -> int:
             with open(args.output, "w", newline="") as stream:
                 render(stream)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     return 0
 
 
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     positive, non_negative = _ints(1), _ints(0)
 
     p_compute = sub.add_parser("compute", help="one exact count")
-    p_compute.set_defaults(run=_cmd_compute)
+    p_compute.set_defaults(run=_cmd_compute, refuse=p_compute.error)
     p_compute.add_argument("--r", type=positive, required=True, help="orbifold order")
     p_compute.add_argument("--genus", type=non_negative, required=True)
     p_compute.add_argument(
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="table of counts over a range")
-    p_table.set_defaults(run=_cmd_table)
+    p_table.set_defaults(run=_cmd_table, refuse=p_table.error)
     p_table.add_argument("--r", type=positive, required=True)
     p_table.add_argument("--genus", type=non_negative, default=0, help="smallest genus")
     p_table.add_argument("--genus-max", type=non_negative, default=None)
@@ -289,14 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--output", type=str, default=None, help="default: stdout")
 
     p_series = sub.add_parser("series", help="series coefficient dump")
-    p_series.set_defaults(run=_cmd_series)
+    p_series.set_defaults(run=_cmd_series, refuse=p_series.error)
     p_series.add_argument("--which", choices=SERIES_KINDS, required=True)
     p_series.add_argument("--r", type=positive, required=True)
     p_series.add_argument("--order", type=positive, required=True)
     p_series.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run cross-check suites")
-    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.set_defaults(run=_cmd_verify, refuse=p_verify.error)
     p_verify.add_argument("--suite", choices=(*VERIFY_SUITES, "all"), required=True)
     p_verify.add_argument(
         "--r", type=_ints(1, many=True), default="1,2,3", help="comma list of r"
@@ -318,12 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, BudgetExceededError) as exc:
-        parser.error(str(exc))
+        # refused by the subcommand's own parser; an OSError is not caught
+        # here, so a closed stdout still ends in exit 141
+        args.refuse(str(exc))
 
 
 def entrypoint() -> None:

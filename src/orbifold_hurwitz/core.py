@@ -54,9 +54,8 @@ _ONE = Fraction(1)
 # Largest cost bound (see ``_cost_bound``) a query may have; larger ones
 # are refused before any evaluation.  Among the slowest accepted queries,
 # r = 1, g = 0, mu = (1,) * 27 (bound 398,007) takes 3.6-3.8 s as a CLI run
-# on a shared 2-vCPU Xeon VM under CPython 3.11.7, against 10.2-11.7 s
-# for the recursion that visited every loop orbit twice; the largest
-# bound in the r = 2, g <= 2, d <= 20 table is 276,660.
+# on a shared 2-vCPU Xeon VM under CPython 3.11.7; the largest bound in
+# the r = 2, g <= 2, d <= 20 table is 276,660.
 WORK_BUDGET = 500_000
 
 
@@ -380,9 +379,9 @@ def check_budget(r: int, g: int, d: int, n: int) -> int:
 def arrowed_hurwitz(idx: HurwitzIndex, memo: MemoTable | None = None) -> Fraction:
     """Arrowed Hurwitz count for ``idx``, memoized in ``memo``.
 
-    Out-of-range queries evaluate to 0: non-divisible degree, negative
-    genus, or negative edge count.  At s = 0 the value is 1 exactly for
-    (g, n, mu) = (0, 1, (r)) and 0 otherwise.
+    A degree d that r does not divide gives 0.  Otherwise s >= 2g >= 0,
+    and s = 0 is the seed: it forces (g, n, mu) = (0, 1, (r)), whose value
+    is 1.
 
     Raises :class:`BudgetExceededError`, before evaluating anything, when
     the query's cost bound exceeds WORK_BUDGET (see :func:`check_budget`).

@@ -5,6 +5,8 @@ Both counting routes, the edge-contraction recursion in
 :mod:`orbifold_hurwitz.oracle`, take a :class:`HurwitzIndex`.  This module
 imports nothing from the package, so neither route has to import the
 other to share it, or to share :func:`admit`, the one budget refusal.
+:class:`Value`, the base of the value classes, is here for the same
+reason: :mod:`orbifold_hurwitz.report` shares it without importing a route.
 """
 
 from __future__ import annotations
@@ -69,7 +71,42 @@ def edge_count(r: int, g: int, mu: Profile) -> int | None:
     return 2 * g - 2 + d // r + len(mu)
 
 
-class HurwitzIndex:
+class Value:
+    """Base of the package's value classes, whose fields are fixed once set.
+
+    A subclass names its fields in the class attribute ``_fields`` and sets
+    them in ``__init__`` with ``vars(self).update(...)``.  It gets the repr
+    a dataclass would print, equality against its own class only, a hash of
+    the field values, and fields that cannot be assigned or deleted.  A
+    plain base rather than a frozen dataclass, since ``dataclasses`` imports
+    ``inspect``, a large share of the CLI's start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(vars(self)[name] for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={vars(self)[name]!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class HurwitzIndex(Value):
     """The triple (r, g, mu) naming one counting problem.
 
     r is the orbifold order, g the genus, and mu the ordered profile over
@@ -77,11 +114,10 @@ class HurwitzIndex:
     ``m = d/r`` and edge count ``s`` (see :func:`edge_count`), the latter
     two defined only when r divides d.  Since m, n >= 1, s is never
     negative.  Instances are immutable values: equal and hashed by
-    (r, g, mu).  A plain class rather than a frozen dataclass, since
-    ``dataclasses`` imports ``inspect``, a large share of the CLI's
-    start-up.
+    (r, g, mu).
     """
 
+    _fields = ("r", "g", "mu")
     r: int
     g: int
     mu: Profile
@@ -94,23 +130,6 @@ class HurwitzIndex:
         parts = tuple(mu)
         canonical_profile(parts)
         vars(self).update(r=r, g=g, mu=parts)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"HurwitzIndex(r={self.r!r}, g={self.g!r}, mu={self.mu!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.g, self.mu) == (other.r, other.g, other.mu)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.g, self.mu))
 
     @property
     def n(self) -> int:

@@ -8,17 +8,15 @@ dicts (JSON-safe, no floats) and round-trip losslessly.
 
 from __future__ import annotations
 
+from .index import Value
+
 __all__ = ["CheckCase", "VerificationReport"]
 
 
-# Plain classes with the repr, equality and hashing a dataclass would
-# generate: ``dataclasses`` imports ``inspect``, a large share of the
-# CLI's start-up.
-
-
-class CheckCase:
+class CheckCase(Value):
     """One checked case; an immutable value, equal and hashed by its fields."""
 
+    _fields = ("description", "expected", "actual", "ok")
     description: str
     expected: str
     actual: str
@@ -26,29 +24,6 @@ class CheckCase:
 
     def __init__(self, description: str, expected: str, actual: str, ok: bool) -> None:
         vars(self).update(description=description, expected=expected, actual=actual, ok=ok)
-
-    def _fields(self) -> tuple:
-        return (self.description, self.expected, self.actual, self.ok)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckCase(description={self.description!r}, expected={self.expected!r}, "
-            f"actual={self.actual!r}, ok={self.ok!r})"
-        )
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def to_dict(self) -> dict:
         return {
@@ -68,25 +43,17 @@ class CheckCase:
         )
 
 
-class VerificationReport:
-    """A suite name and its cases; mutable, so equal by fields but unhashable."""
+class VerificationReport(Value):
+    """A suite name and its cases.  Its fields are fixed, but :meth:`check`
+    appends to the case list, so it is equal by fields but unhashable."""
 
+    _fields = ("suite", "cases")
+    __hash__ = None
     suite: str
     cases: list[CheckCase]
 
     def __init__(self, suite: str, cases: list[CheckCase] | None = None) -> None:
-        self.suite = suite
-        self.cases = [] if cases is None else cases
-
-    def __repr__(self) -> str:
-        return f"VerificationReport(suite={self.suite!r}, cases={self.cases!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.cases) == (other.suite, other.cases)
-
-    __hash__ = None
+        vars(self).update(suite=suite, cases=[] if cases is None else cases)
 
     def check(self, description: str, expected, actual) -> bool:
         """Record one case; the case passes iff the two texts are equal."""

@@ -83,7 +83,7 @@ def series_cost(which: str, r: int, order: int) -> int:
     """Bound on the coefficient products behind one series, plus the
     coefficients it builds.
 
-    ``curve``/``w01``: k * k * (k + 1) / 2 + order + 1 with k = order // r.
+    ``curve``: k * k * (k + 1) / 2 + order + 1 with k = order // r.
     The curve itself is order + 1 coefficients from a closed formula.  The
     number bounds the ``ode`` suite's residuals, one exp and two products
     of (order + 1)-term series, about 3/2 order^2 coefficient products,
@@ -95,7 +95,7 @@ def series_cost(which: str, r: int, order: int) -> int:
     ``order`` products of (order + 1)-term series, the r = 1 curve's count.
     No order is clamped: :func:`admit_series` refuses one below the least.
     """
-    if which in ("curve", "w01"):
+    if which == "curve":
         k = order // r
         return k * k * (k + 1) // 2 + order + 1
     if which == "f02":
@@ -621,12 +621,6 @@ def lambert_functional_residual(r: int, y: Series1) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-def _one_part_counts(r: int, order: int, memo: MemoTable) -> list[Fraction]:
-    return [
-        arrowed_hurwitz(HurwitzIndex(r, 0, (d,)), memo) for d in range(1, order + 1)
-    ]
-
-
 def f01_closed_in_z(r: int, order: int) -> Series1:
     """Closed form of the one-point genus-0 energy on the curve:
     (1/r) z^r - (1/2) z^(2r)."""
@@ -650,10 +644,10 @@ def f01_from_counts(
 def f01_in_x(r: int, order: int, memo: MemoTable | None = None) -> Series1:
     """sum_d (count(d)/d) x^d; its Euler derivative x d/dx recovers y(x)."""
     memo = MemoTable() if memo is None else memo
-    counts = _one_part_counts(r, order, memo)
-    return Series1(
-        [_ZERO] + [counts[d - 1] / d for d in range(1, order + 1)], order, "x"
-    )
+    coeffs = [_ZERO] * (order + 1)
+    for d in range(1, order + 1):
+        coeffs[d] = arrowed_hurwitz(HurwitzIndex(r, 0, (d,)), memo) / d
+    return Series1(coeffs, order, "x")
 
 
 def f02_closed_in_z(r: int, total_order: int) -> Series2:

@@ -85,3 +85,13 @@ def test_value_classes_compare_hash_and_freeze_by_fields():
     assert VerificationReport("cayley").cases == []
     with pytest.raises(TypeError):
         hash(report)
+
+
+def test_report_fields_are_fixed_but_its_cases_grow():
+    from orbifold_hurwitz import VerificationReport
+
+    report = VerificationReport("cayley")
+    for field in ("suite", "cases"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(report, field, None)
+    assert report.check("d=1", 1, 1) and len(report.cases) == 1

@@ -2,10 +2,12 @@
 
 The argv are drawn from :func:`orbifold_hurwitz.cli.build_parser` itself:
 every subcommand and every flag, integers from small, boundary and huge
-(past 2^63) values, and comma lists of them where a flag takes a list.
-Exit 2 leaves stdout empty and prints one stderr line, ``... error: ...``;
-exit 0 prints something, and printed JSON validates against
-``docs/schemas``.  A hang meets a 10 s alarm.
+(past 2^63) values, comma lists of them and malformed lists where a flag
+takes a list, and an ``--output`` that can or cannot be written.  Exit 2
+leaves stdout empty and prints one stderr line,
+``orbifold-hurwitz <command>: error: <message>``; exit 0 prints something,
+and printed JSON validates against ``docs/schemas``.  A hang meets a 10 s
+alarm.
 """
 
 import io
@@ -25,7 +27,9 @@ SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 INTS = [-1, 0, 1, 2, 3, 2**63, 10**20]
 # flags whose type is a comma list of integers
 LIST_FLAGS = {("compute", "--mu"), ("verify", "--r")}
-OUTPUT = "<output>"
+MALFORMED_LISTS = ["", "1,,2", "x", "1,", ","]
+# stand-ins for a writable --output path and for one under a plain file
+OUTPUT, UNWRITABLE = "<output>", "<unwritable>"
 
 
 def flag_values(command, action):
@@ -35,10 +39,12 @@ def flag_values(command, action):
     if action.choices:
         return st.sampled_from(sorted(action.choices))
     if action.dest == "output":
-        return st.just(OUTPUT)
+        return st.sampled_from([OUTPUT, UNWRITABLE])
     if (command, action.option_strings[0]) in LIST_FLAGS:
         values = st.lists(st.sampled_from(INTS), min_size=1, max_size=3)
-        return values.map(lambda vs: ",".join(map(str, vs)))
+        return st.one_of(
+            values.map(lambda vs: ",".join(map(str, vs))), st.sampled_from(MALFORMED_LISTS)
+        )
     return st.sampled_from(INTS).map(str)
 
 
@@ -107,14 +113,17 @@ def prints_json(argv):
 @example(["series", "--which", "f01", "--r", "3", "--order", "2"])
 def test_every_argv_ends_in_exit_0_or_2(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        target = Path(tmp, "out")
-        argv = [str(target) if value == OUTPUT else value for value in argv]
+        target, plain_file = Path(tmp, "out"), Path(tmp, "file")
+        plain_file.touch()
+        paths = {OUTPUT: str(target), UNWRITABLE: str(plain_file / "out")}
+        argv = [paths.get(value, value) for value in argv]
         code, stdout, stderr = run(argv)
         assert code in (0, 2), (argv, code, stderr)
         if code == 2:
             assert stdout == "", argv
-            # one line, without argparse's usage block
-            assert "error: " in stderr and stderr.count("\n") == 1, (argv, stderr)
+            # one line from the subcommand's parser, without the usage block
+            assert stderr.startswith(f"orbifold-hurwitz {argv[0]}: error: "), (argv, stderr)
+            assert stderr.count("\n") == 1, (argv, stderr)
             return
         printed = target.read_text() if "--output" in argv else stdout
     assert printed, argv

@@ -44,3 +44,23 @@ def test_tracer_install_wraps_and_remove_restores(capsys):
     for owner, attr, original in wrapped:
         assert vars(owner)[attr] is original
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_tracer_sees_every_memo_the_cli_hands_to_core(capsys):
+    # the gate of a traced benchmark run: the CLI passes its MemoTable to a
+    # core name it imports, so the tracer counts the memo states of each job
+    jobs = [
+        (["table", "--r", "1", "--degree-max", "16", "--genus-max", "2"], 2741),
+        (["table", "--r", "2", "--degree-max", "20", "--genus-max", "2"], 4610),
+        (["compute", "--r", "1", "--genus", "2", "--mu", "3,2,2,1,1"], 256),
+    ]
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        for job, (argv, _) in enumerate(jobs):
+            tracer.job = job
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    assert tracer.job_states() == {job: states for job, (_, states) in enumerate(jobs)}
