@@ -33,9 +33,11 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
+from math import prod
 
 from . import verify
-from .core import MemoTable, arrowed_hurwitz, check_budget, orbifold_hurwitz, partitions
+from .core import MemoTable, arrowed_hurwitz, check_budget, fill_table, partitions
 from .index import BudgetExceededError, HurwitzIndex
 from .report import VerificationReport
 from .series import f01_closed_in_z, f02_closed_in_z, spectral_curve_y_of_x
@@ -54,9 +56,24 @@ SERIES_KINDS = ("curve", "f01", "f02", "w01")
 TABLE_HEADER = ["r", "g", "mu", "n", "d", "s", "arrowed", "hurwitz"]
 
 
+# The one JSON formatting used everywhere; reprints byte-identically.
+_JSON = json.JSONEncoder(indent=2)
+# iterencode pieces joined per write: a table's pieces are short strings,
+# so the whole document is never held as one string or one list
+_PIECES = 1000
+
+
 def dump_json(payload) -> str:
-    """The one JSON formatting used everywhere; reprints byte-identically."""
-    return json.dumps(payload, indent=2)
+    """``payload`` as the one JSON text every output prints."""
+    return _JSON.encode(payload)
+
+
+def write_json(payload, stream) -> None:
+    """Write ``dump_json(payload)`` and a newline to ``stream``, in pieces."""
+    pieces = _JSON.iterencode(payload)
+    while chunk := "".join(islice(pieces, _PIECES)):
+        stream.write(chunk)
+    stream.write("\n")
 
 
 def _ints(low: int, many: bool = False):
@@ -81,11 +98,16 @@ def _ints(low: int, many: bool = False):
 # ---------------------------------------------------------------------------
 
 
+def _counts(idx: HurwitzIndex, memo: MemoTable):
+    """The arrowed count of ``idx`` and its orbifold Hurwitz number, the
+    arrowed count divided by mu_1 * ... * mu_n."""
+    arrowed = arrowed_hurwitz(idx, memo)
+    return arrowed, arrowed / prod(idx.mu)
+
+
 def _cmd_compute(args) -> int:
     idx = HurwitzIndex(args.r, args.genus, args.mu)
-    memo = MemoTable()
-    arrowed = arrowed_hurwitz(idx, memo)
-    hurwitz = orbifold_hurwitz(idx, memo)
+    arrowed, hurwitz = _counts(idx, MemoTable())
     if args.json:
         payload = {
             "r": idx.r,
@@ -98,7 +120,7 @@ def _cmd_compute(args) -> int:
             "arrowed": str(arrowed),
             "hurwitz": str(hurwitz),
         }
-        print(dump_json(payload))
+        write_json(payload, sys.stdout)
     else:
         print(arrowed if args.arrowed else hurwitz)
     return 0
@@ -109,12 +131,14 @@ def _cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(r: int, g_min: int, g_max: int, degree_max: int):
-    memo = MemoTable()
+def _table_rows(memo: MemoTable, r: int, g_min: int, g_max: int, degree_max: int):
+    """The table's rows, genus by genus and degree by degree, each one
+    memo hit in a ``memo`` that ``fill_table`` has filled."""
     for g in range(g_min, g_max + 1):
         for d in range(r, degree_max + 1, r):
             for mu in partitions(d):
                 idx = HurwitzIndex(r, g, mu)
+                arrowed, hurwitz = _counts(idx, memo)
                 yield {
                     "r": r,
                     "g": g,
@@ -122,8 +146,8 @@ def _table_rows(r: int, g_min: int, g_max: int, degree_max: int):
                     "n": idx.n,
                     "d": d,
                     "s": idx.s,
-                    "arrowed": str(arrowed_hurwitz(idx, memo)),
-                    "hurwitz": str(orbifold_hurwitz(idx, memo)),
+                    "arrowed": str(arrowed),
+                    "hurwitz": str(hurwitz),
                 }
 
 
@@ -134,12 +158,15 @@ def _cmd_table(args) -> int:
     # The row (1, ..., 1) at the top genus and degree has the largest cost
     # bound: the most parts of the largest degree.  No degree, no rows.
     top = args.degree_max - args.degree_max % args.r
-    rows = []
     if top:
         check_budget(args.r, g_max, top, top)
-        rows = list(_table_rows(args.r, args.genus, g_max, args.degree_max))
 
     def render(stream) -> None:
+        rows = ()
+        if top:
+            memo = MemoTable()
+            fill_table(args.r, args.genus, g_max, args.degree_max, memo)
+            rows = _table_rows(memo, args.r, args.genus, g_max, args.degree_max)
         if args.format == "csv":
             writer = csv.writer(stream)
             writer.writerow(TABLE_HEADER)
@@ -147,8 +174,10 @@ def _cmd_table(args) -> int:
                 cells = dict(row, mu=",".join(str(p) for p in row["mu"]))
                 writer.writerow([cells[column] for column in TABLE_HEADER])
         else:
-            stream.write(dump_json(rows) + "\n")
+            write_json(list(rows), stream)
 
+    # A refused row range never opens --output, and an unwritable --output
+    # is refused before any row is computed.
     if args.output is None:
         render(sys.stdout)
     else:
@@ -191,7 +220,7 @@ def _cmd_series(args) -> int:
                 for exponents, c in terms
             ],
         }
-        print(dump_json(payload))
+        write_json(payload, sys.stdout)
     else:
         for exponents, c in terms:
             print("{0}\t{1}".format(",".join(str(e) for e in exponents), c))
@@ -235,7 +264,7 @@ def _cmd_verify(args) -> int:
     reports = _run_suites(args)
     all_pass = all(report.passed for report in reports)
     if args.json:
-        print(dump_json([report.to_dict() for report in reports]))
+        write_json([report.to_dict() for report in reports], sys.stdout)
     else:
         for report in reports:
             print(report)

@@ -13,9 +13,14 @@ of the associated graph), with the single seed value 1 at (g, n, mu) =
 The recursion runs on the integer E(r, g, mu) = s! * arrowed(r, g, mu),
 which counts arrowed graphs with labeled edges, so every step is plain
 ``int`` arithmetic; ``fractions.Fraction`` appears only at the API
-boundary, where E is divided by s!.  Evaluation is demand-driven on an
-explicit stack of suspended per-state evaluations, so it visits only the
-descendants of the query and never hits Python's recursion limit.  Before
+boundary, where E is divided by s!.  A profile's plan lists its children
+and their weights, which do not depend on the genus; evaluating a state
+replays the plan at its genus.  Evaluation runs on an explicit stack of
+suspended per-state evaluations, so it never hits Python's recursion
+limit.  A query is demand-driven: it visits only its descendants, and
+each state builds its plan and drops it.  :func:`fill_table` fills a
+whole table one degree at a time and keeps each plan for the degree it
+belongs to, so every plan is built once and replayed at every genus.  Before
 evaluating, :func:`check_budget` refuses a query whose cost bound exceeds
 ``WORK_BUDGET``, through :func:`~orbifold_hurwitz.index.admit`.  Queries
 are named by :class:`~orbifold_hurwitz.index.HurwitzIndex`, which also
@@ -53,7 +58,7 @@ _ONE = Fraction(1)
 
 # Largest cost bound (see ``_cost_bound``) a query may have; larger ones
 # are refused before any evaluation.  Among the slowest accepted queries,
-# r = 1, g = 0, mu = (1,) * 27 (bound 398,007) takes 3.6-3.8 s as a CLI run
+# r = 1, g = 0, mu = (1,) * 27 (bound 398,007) takes 2.6-2.7 s as a CLI run
 # on a shared 2-vCPU Xeon VM under CPython 3.11.7; the largest bound in
 # the r = 2, g <= 2, d <= 20 table is 276,660.
 WORK_BUDGET = 500_000
@@ -141,6 +146,14 @@ def _decode(code: int) -> Profile:
     return tuple(v for v, m in reversed(_runs(code)) for _ in range(m))
 
 
+@lru_cache(maxsize=1024)
+def _picks(r: int, v: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """k copies of v to I, for k = 0..m: their code, the code of the m - k
+    left to J, and the ways to pick them."""
+    unit = _unit(r, v)
+    return tuple((k * unit, (m - k) * unit, comb(m, k)) for k in range(m + 1))
+
+
 def _submultiset_splits(
     r: int, runs: list[tuple[int, int]]
 ) -> list[tuple[int, int, int]]:
@@ -157,10 +170,7 @@ def _submultiset_splits(
     """
     splits = [(0, 0, 1)]
     for v, m in runs:
-        unit = _unit(r, v)
-        # k copies of v to I: their code, the code of the m - k left to J,
-        # and the ways to pick them
-        picks = [(k * unit, (m - k) * unit, comb(m, k)) for k in range(m + 1)]
+        picks = _picks(r, v, m)
         splits = [
             (left + pick, right + other, ways * more)
             for left, right, ways in splits
@@ -169,145 +179,218 @@ def _submultiset_splits(
     return splits
 
 
-def _contraction(
-    r: int, g: int, code: int, layers: list[dict[int, int]]
-) -> Generator[tuple[int, int], int, int]:
-    """Evaluate E(r, g, mu) = s! * arrowed(r, g, mu) for a memo miss.
+@lru_cache(maxsize=1024)
+def _walk(r: int, residue: int, value: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The steps a + b = value of a separating loop whose side I has degree
+    ``residue`` mod r: r | deg mu1 = a + deg I (then r | deg mu2 too), so a
+    runs through one residue class.  Each step is (code (a,), code (b,),
+    a); the first ``lower`` steps are those with a <= b."""
+    steps = range(r - residue, value, r)
+    units = tuple((_unit(r, a), _unit(r, value - a), a) for a in steps)
+    return units, len(range(r - residue, value // 2 + 1, r))
 
-    ``code`` is mu's code and ``layers[h]`` the memo of genus h.
-    Contracting one of the s labeled edges gives E as plain integer sums
-    over states one edge down.  The generator yields the (g, code) of each
-    child that is neither stored nor the seed and expects its E sent back;
-    it stores its own result in ``layers[g]`` before returning it.
+
+@lru_cache(maxsize=256)
+def _binomials(n: int) -> tuple[int, ...]:
+    """C(n, k) for k = 0..n."""
+    return tuple(comb(n, k) for k in range(n + 1))
+
+
+def _plan(r: int, code: int, codes: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The children of the profile ``code`` and their weights, at any genus.
+
+    Contracting one of the s labeled edges of a genus-g state gives
+    E(r, g, mu) = s! * arrowed(r, g, mu) as plain integer sums over states
+    one edge down.  Which states those are, and with which weights, depends
+    on mu alone; only the genera of the children and the binomials C(s - 1,
+    k) of a separating loop depend on g.  The plan holds four flat tuples,
+    with every weight doubled so that the sum of a state is 2E:
+
+    * ``merges``: (child, weight) for an edge joining two distinct
+      vertices, whose parts mu_i and mu_j merge; the child has genus g.
+    * ``handles``: (child, weight) for a loop at one vertex that cuts a
+      handle, mu_i breaking into a + b; the child has genus g - 1.
+    * ``pairs``: (mu1, mu2, s1, weight) for a separating loop whose sides
+      are (g1, mu1) and (g - g1, mu2), for every g1, with s1 the edge
+      count of (0, mu1); the s - 1 other edge labels distribute over the
+      sides in C(s - 1, s1 + 2 g1) ways.
+    * ``mirrored``: (mu1, s1, weight), the separating loops whose two
+      sides have the same profile; their g1 runs to g // 2, and the
+      weight is doubled below the middle g1 = g - g1.
+
+    The loop sums are invariant under the involution (a, I, g1) <-> (b,
+    J, g - g1): the handle child is symmetric in a and b, ways(I) =
+    ways(J), and C(s - 1, k) = C(s - 1, s - 1 - k).  So each orbit is
+    listed once, through its representative with a <= b, and with split
+    index i <= last - i, at twice its weight; a fixed point is listed at
+    its weight once.  Grading asserts check each child's edge count
+    against its own header, and a split whose ways differ from its
+    complement's raises, since then the halved sum is not the whole one.
     """
-    s = (code & _HEADER) // r + 2 * g - 2
-    # the header of a genus-g child with s - 1 edges
-    top = r * (s + 1 - 2 * g)
+    header = code & _HEADER
     runs = _runs(code)
-    here = layers[g]
-    # the genus splits g1 + g2 = g of a separating loop, with their memos'
-    # lookups
-    genera = [(g1, layers[g1].get, g - g1, layers[g - g1].get) for g1 in range(g + 1)]
-    # the seed (0, (r,)), the one state at s = 0, is never stored
-    seed = _unit(r, r)
-
-    # Contract an edge joining two distinct vertices: parts mu_i and mu_j
-    # merge, one term per pair of part values.
-    acc = 0
+    share = codes.setdefault
+    merges = []
     for x, (u, mult_u) in enumerate(runs):
         for v, mult_v in runs[x:]:
             pairs = mult_u * (mult_u - 1) // 2 if v == u else mult_u * mult_v
             if not pairs:
                 continue
             merged = code - _unit(r, u) - _unit(r, v) + _unit(r, u + v)
-            assert merged & _HEADER == top
-            child = here.get(merged)
-            if child is None:
-                child = 1 if merged == seed and not g else (yield g, merged)
-            acc += pairs * u * v * child
+            assert merged & _HEADER == header - r
+            merges += (share(merged, merged), 2 * pairs * u * v)
 
-    # Contract a loop at one vertex: mu_i breaks into a + b, and the loop
-    # either cuts a handle (genus drops) or separates the surface (the
-    # remaining parts distribute over the two sides, and the s - 1 other
-    # edge labels with them).  Both sums are invariant under the
-    # involution (a, I, g1) <-> (b, J, g - g1): the handle child is
-    # symmetric in a and b, ways(I) = ways(J), and C(s - 1, k) =
-    # C(s - 1, s - 1 - k).  So each orbit is visited once, through its
-    # representative with a <= b, and with split index i <= last - i; the
-    # terms of two-element orbits go into ``twice``, the fixed points into
-    # ``diag``, and the sum over ordered splits is 2 * twice + diag.
-    twice = diag = 0
-    # C(s - 1, k): the ways to hand k of the other edge labels to one side
-    binom = [comb(s - 1, k) for k in range(s)]
+    handles, pairs, mirrored = [], [], []
     for x, (value, mult) in enumerate(runs):
         if value < 2:
             continue
-        off = fixed = 0
-        if g:
-            rest = code - _unit(r, value)
-            below = layers[g - 1]
-            for a in range(1, value // 2 + 1):
-                # a handle child has n + 1 >= 2 parts, so it is no seed
-                handle = rest + _unit(r, a) + _unit(r, value - a)
-                assert handle & _HEADER == top + 2 * r
-                child = below.get(handle)
-                if child is None:
-                    child = yield g - 1, handle
-                if 2 * a == value:
-                    fixed += child
-                else:
-                    off += child
+        weight = value * mult
+        rest = code - _unit(r, value)
+        for a in range(1, value // 2 + 1):
+            # a handle child has n + 1 >= 2 parts, so it is no seed
+            handle = rest + _unit(r, a) + _unit(r, value - a)
+            assert handle & _HEADER == header + r
+            handles += (share(handle, handle), weight if 2 * a == value else 2 * weight)
         splits = _submultiset_splits(
             r, runs[:x] + [(value, mult - 1)] * (mult > 1) + runs[x + 1 :]
         )
-        last = len(splits) - 1
-        # A separating loop needs r | deg mu1 = a + deg I (then r | deg mu2
-        # too), so each split steps a through that residue class only.  The
-        # steps (code (a,), code (b,), a = b) of a class are shared by its
-        # splits, and the middle split, its own complement, takes the
-        # ``lower`` ones, with a <= b.
-        walks = {}
-        for i in range(last // 2 + 1):
-            left, right, ways = splits[i]
-            # the orbit's other half would count ways(J) instead
-            if ways != splits[last - i][2]:
-                raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={_decode(code)}")
+        # splits[-1 - i] is the complement of splits[i], and the orbit's
+        # other half would count its ways(J) instead of ways(I)
+        ways_each = [ways for _, _, ways in splits]
+        if ways_each != ways_each[::-1]:
+            raise ArithmeticError(f"odd loop sum at r={r} mu={_decode(code)}")
+        # the middle split, when there is one, is its own complement and
+        # takes only the steps with a <= b
+        half, middle = divmod(len(splits), 2)
+        for i, (left, right, ways) in enumerate(splits[: half + middle]):
             # deg I = header of I (mod r)
-            residue = (left & _HEADER) % r
-            found = walks.get(residue)
-            if found is None:
-                found = walks[residue] = (
-                    [
-                        (_unit(r, a), _unit(r, value - a), 2 * a == value)
-                        for a in range(r - residue, value, r)
-                    ],
-                    len(range(r - residue, value // 2 + 1, r)),
-                )
-            walk, lower = found
-            mirror = 2 * i == last
-            inner = 0
-            for unit_a, unit_b, middle in walk[:lower] if mirror else walk:
+            base = left & _HEADER
+            walk, lower = _walk(r, base % r, value)
+            mirror = i == half
+            twice = 2 * ways * weight
+            for unit_a, unit_b, a in walk[:lower] if mirror else walk:
                 mu1 = left + unit_a
                 mu2 = right + unit_b
-                # the edge count of (0, mu1), off its header; r divides the
-                # header, and at genus g1 the count is s1 + 2 g1
-                s1 = (mu1 & _HEADER) // r - 2
+                # the edge count of (0, mu1), off its header, which is
+                # base + a + r; at genus g1 the count is s1 + 2 g1
+                s1 = (base + a) // r - 1
                 assert mu1 & _HEADER == r * (s1 + 2)
-                assert mu2 & _HEADER == top - r * s1
-                on_diag = mirror and middle
-                for g1, get1, g2, get2 in genera[: g // 2 + 1] if on_diag else genera:
-                    lhs = get1(mu1)
-                    if lhs is None:
-                        lhs = 1 if mu1 == seed and not g1 else (yield g1, mu1)
-                    rhs = get2(mu2)
-                    if rhs is None:
-                        rhs = 1 if mu2 == seed and not g2 else (yield g2, mu2)
-                    if lhs and rhs:
-                        if on_diag and g1 == g2:
-                            fixed += ways * binom[s1 + 2 * g1] * lhs * rhs
-                        else:
-                            inner += binom[s1 + 2 * g1] * lhs * rhs
-            off += ways * inner
-        twice += value * mult * off
-        diag += value * mult * fixed
+                assert mu2 & _HEADER == header - r - r * s1
+                if mirror and 2 * a == value:
+                    mirrored += (share(mu1, mu1), s1, ways * weight)
+                else:
+                    pairs += (share(mu1, mu1), share(mu2, mu2), s1, twice)
+    return tuple(merges), tuple(handles), tuple(pairs), tuple(mirrored)
 
-    # The ordered sum 2 * twice + diag counts every loop twice; an odd diag
-    # would make it odd, which would mean the recursion itself is wrong.
-    half, odd = divmod(diag, 2)
+
+def _contraction(
+    r: int, g: int, code: int, plan: tuple[tuple[int, ...], ...], layers: list[dict[int, int]]
+) -> Generator[tuple[int, int], int, int]:
+    """Evaluate E(r, g, mu) for a memo miss from mu's ``plan``.
+
+    ``code`` is mu's code and ``layers[h]`` the memo of genus h.  The
+    generator yields the (g, code) of each child that is neither stored
+    nor the seed and expects its E sent back; it stores its own result in
+    ``layers[g]`` before returning it.
+    """
+    merges, handles, pairs, mirrored = plan
+    here = layers[g]
+    # the seed (0, (r,)), the one state at s = 0, is never stored
+    seed = _unit(r, r)
+    total = 0
+    it = iter(merges)
+    for child_code, weight in zip(it, it):
+        child = here.get(child_code)
+        if child is None:
+            child = 1 if child_code == seed and not g else (yield g, child_code)
+        total += weight * child
+    if g:
+        below = layers[g - 1]
+        it = iter(handles)
+        for child_code, weight in zip(it, it):
+            child = below.get(child_code)
+            if child is None:
+                child = yield g - 1, child_code
+            total += weight * child
+    # C(s - 1, k): the ways to hand k of the other edge labels to one side
+    binom = _binomials((code & _HEADER) // r + 2 * g - 3)
+    for g1 in range(g + 1):
+        g2 = g - g1
+        get1, get2 = layers[g1].get, layers[g2].get
+        shifted = binom[2 * g1 :]
+        it = iter(pairs)
+        for mu1, mu2, s1, weight in zip(it, it, it, it):
+            lhs = get1(mu1)
+            if lhs is None:
+                lhs = 1 if mu1 == seed and not g1 else (yield g1, mu1)
+            rhs = get2(mu2)
+            if rhs is None:
+                rhs = 1 if mu2 == seed and not g2 else (yield g2, mu2)
+            if lhs and rhs:
+                total += weight * shifted[s1] * lhs * rhs
+        if g1 <= g2:
+            it = iter(mirrored)
+            for mu1, s1, weight in zip(it, it, it):
+                lhs = get1(mu1)
+                if lhs is None:
+                    lhs = 1 if mu1 == seed and not g1 else (yield g1, mu1)
+                rhs = get2(mu1)
+                if rhs is None:
+                    rhs = 1 if mu1 == seed and not g2 else (yield g2, mu1)
+                if lhs and rhs:
+                    term = weight * shifted[s1] * lhs * rhs
+                    total += term if g1 == g2 else 2 * term
+
+    # Every loop is counted twice, so an odd total would mean the recursion
+    # itself is wrong.
+    result, odd = divmod(total, 2)
     if odd:
         raise ArithmeticError(f"odd loop sum at r={r} g={g} mu={_decode(code)}")
-    result = acc + twice + half
     here[code] = result
     return result
 
 
-def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
-    """E(r, g, mu) for an admitted mu with s >= 1, on an explicit stack.
+def _evaluate(
+    r: int,
+    g: int,
+    code: int,
+    layers: list[dict[int, int]],
+    codes: dict[int, int],
+    plans: dict[int, tuple] | None = None,
+) -> int:
+    """E(r, g, mu) for a state that is neither stored nor the seed, on an
+    explicit stack.
 
     The stack holds the suspended evaluation of every state whose child is
     being computed, so only descendants of (r, g, mu) are visited and the
     Python call depth stays constant however deep the recursion in s goes.
+    With ``plans`` each profile's plan is built once and kept there;
+    without, each state builds its plan and drops it when it is done.
     """
+    stack = []
+    value = None
+    while True:
+        plan = None if plans is None else plans.get(code)
+        if plan is None:
+            plan = _plan(r, code, codes)
+            if plans is not None:
+                plans[code] = plan
+        stack.append(_contraction(r, g, code, plan, layers))
+        value = None
+        while stack:
+            try:
+                g, code = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                break
+        else:
+            return value
+
+
+def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
+    """E(r, g, mu) for an admitted mu with s >= 1, demand-driven."""
     d = sum(mu)
     most = min(d, len(mu) + g)
     assert most <= _PARTS and d + r * most <= _HEADER
@@ -316,17 +399,37 @@ def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
     if value is not None:
         return value
     layers = [table.setdefault((r, h), {}) for h in range(g + 1)]
-    stack = [_contraction(r, g, code, layers)]
-    while stack:
-        try:
-            child = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(_contraction(r, *child, layers))
-            value = None
-    return value
+    return _evaluate(r, g, code, layers, {})
+
+
+def fill_table(r: int, g_min: int, g_max: int, degree_max: int, memo: MemoTable) -> None:
+    """Store in ``memo`` the E of every state the table rows r, g_min <= g
+    <= g_max, r | d <= degree_max reach, the same states the rows' own
+    queries would store.
+
+    The rows are evaluated one degree at a time, in ascending order, and
+    within a degree genus by genus over ``partitions(d)``.  A profile's
+    plan is built once and replayed at every genus; the plans are kept for
+    one degree only, so the memory they hold is that of one degree's
+    profiles.  Raises :class:`BudgetExceededError`, before evaluating
+    anything, when the costliest row is over WORK_BUDGET.
+    """
+    top = degree_max - degree_max % r
+    if not top:
+        return
+    check_budget(r, g_max, top, top)
+    # no state reached has more than top parts
+    assert top <= _PARTS and top + r * top <= _HEADER
+    layers = [memo._table.setdefault((r, h), {}) for h in range(g_max + 1)]
+    seed = _unit(r, r)
+    for d in range(r, top + 1, r):
+        plans, codes = {}, {}
+        for g in range(g_min, g_max + 1):
+            here = layers[g]
+            for mu in partitions(d):
+                code = _encode(r, mu)
+                if code not in here and (g or code != seed):
+                    _evaluate(r, g, code, layers, codes, plans)
 
 
 @lru_cache(maxsize=4096)
