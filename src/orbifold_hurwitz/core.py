@@ -196,7 +196,7 @@ def _binomials(n: int) -> tuple[int, ...]:
     return tuple(comb(n, k) for k in range(n + 1))
 
 
-def _plan(r: int, code: int, codes: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+def _plan(r: int, code: int) -> tuple[tuple[int, ...], ...]:
     """The children of the profile ``code`` and their weights, at any genus.
 
     Contracting one of the s labeled edges of a genus-g state gives
@@ -229,7 +229,6 @@ def _plan(r: int, code: int, codes: dict[int, int]) -> tuple[tuple[int, ...], ..
     """
     header = code & _HEADER
     runs = _runs(code)
-    share = codes.setdefault
     merges = []
     for x, (u, mult_u) in enumerate(runs):
         for v, mult_v in runs[x:]:
@@ -238,7 +237,7 @@ def _plan(r: int, code: int, codes: dict[int, int]) -> tuple[tuple[int, ...], ..
                 continue
             merged = code - _unit(r, u) - _unit(r, v) + _unit(r, u + v)
             assert merged & _HEADER == header - r
-            merges += (share(merged, merged), 2 * pairs * u * v)
+            merges += (merged, 2 * pairs * u * v)
 
     handles, pairs, mirrored = [], [], []
     for x, (value, mult) in enumerate(runs):
@@ -250,7 +249,7 @@ def _plan(r: int, code: int, codes: dict[int, int]) -> tuple[tuple[int, ...], ..
             # a handle child has n + 1 >= 2 parts, so it is no seed
             handle = rest + _unit(r, a) + _unit(r, value - a)
             assert handle & _HEADER == header + r
-            handles += (share(handle, handle), weight if 2 * a == value else 2 * weight)
+            handles += (handle, weight if 2 * a == value else 2 * weight)
         splits = _submultiset_splits(
             r, runs[:x] + [(value, mult - 1)] * (mult > 1) + runs[x + 1 :]
         )
@@ -277,9 +276,9 @@ def _plan(r: int, code: int, codes: dict[int, int]) -> tuple[tuple[int, ...], ..
                 assert mu1 & _HEADER == r * (s1 + 2)
                 assert mu2 & _HEADER == header - r - r * s1
                 if mirror and 2 * a == value:
-                    mirrored += (share(mu1, mu1), s1, ways * weight)
+                    mirrored += (mu1, s1, ways * weight)
                 else:
-                    pairs += (share(mu1, mu1), share(mu2, mu2), s1, twice)
+                    pairs += (mu1, mu2, s1, twice)
     return tuple(merges), tuple(handles), tuple(pairs), tuple(mirrored)
 
 
@@ -355,7 +354,6 @@ def _evaluate(
     g: int,
     code: int,
     layers: list[dict[int, int]],
-    codes: dict[int, int],
     plans: dict[int, tuple] | None = None,
 ) -> int:
     """E(r, g, mu) for a state that is neither stored nor the seed, on an
@@ -372,7 +370,7 @@ def _evaluate(
     while True:
         plan = None if plans is None else plans.get(code)
         if plan is None:
-            plan = _plan(r, code, codes)
+            plan = _plan(r, code)
             if plans is not None:
                 plans[code] = plan
         stack.append(_contraction(r, g, code, plan, layers))
@@ -399,7 +397,7 @@ def _scaled(r: int, g: int, mu: Profile, table: dict) -> int:
     if value is not None:
         return value
     layers = [table.setdefault((r, h), {}) for h in range(g + 1)]
-    return _evaluate(r, g, code, layers, {})
+    return _evaluate(r, g, code, layers)
 
 
 def fill_table(r: int, g_min: int, g_max: int, degree_max: int, memo: MemoTable) -> None:
@@ -423,13 +421,13 @@ def fill_table(r: int, g_min: int, g_max: int, degree_max: int, memo: MemoTable)
     layers = [memo._table.setdefault((r, h), {}) for h in range(g_max + 1)]
     seed = _unit(r, r)
     for d in range(r, top + 1, r):
-        plans, codes = {}, {}
+        plans = {}
         for g in range(g_min, g_max + 1):
             here = layers[g]
             for mu in partitions(d):
                 code = _encode(r, mu)
                 if code not in here and (g or code != seed):
-                    _evaluate(r, g, code, layers, codes, plans)
+                    _evaluate(r, g, code, layers, plans)
 
 
 @lru_cache(maxsize=4096)

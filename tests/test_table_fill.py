@@ -64,9 +64,9 @@ def test_fill_plans_each_profile_once(monkeypatch, r, degree_max, plans, states)
     built = []
     plan = core_module._plan
 
-    def counted(r, code, codes):
+    def counted(r, code):
         built.append(code)
-        return plan(r, code, codes)
+        return plan(r, code)
 
     monkeypatch.setattr(core_module, "_plan", counted)
     filled = MemoTable()
